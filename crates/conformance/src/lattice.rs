@@ -16,8 +16,8 @@ use mgpu_gles::{Engine, ExecConfig, Gl};
 pub struct ExecPoint {
     /// Fragment engine tier.
     pub engine: Engine,
-    /// Bind-time uniform specialisation (batched and compiled tiers;
-    /// the scalar tier ignores it).
+    /// Bind-time uniform specialisation (compiled tier; the scalar tier
+    /// ignores it).
     pub spec: bool,
     /// Persistent-pool dispatcher (`false` = legacy scope-spawn path when
     /// threaded, plain serial path when `threads == 1`).
@@ -75,7 +75,6 @@ impl ExecPoint {
                 "engine" => {
                     point.engine = match value {
                         "scalar" => Engine::Scalar,
-                        "batched" => Engine::Batched,
                         "compiled" => Engine::Compiled,
                         other => return Err(format!("unknown engine `{other}`")),
                     };
@@ -113,7 +112,6 @@ impl fmt::Display for ExecPoint {
             "engine={} spec={} pool={} cache={} skip={} threads={}",
             match self.engine {
                 Engine::Scalar => "scalar",
-                Engine::Batched => "batched",
                 Engine::Compiled => "compiled",
             },
             onoff(self.spec),
@@ -125,18 +123,15 @@ impl fmt::Display for ExecPoint {
     }
 }
 
-/// The full lattice: {scalar, batched±spec, compiled±spec} × {serial;
-/// scope-spawn and pool (with the plan cache both on and off) at 2 and 8
-/// threads}, plus per engine tier three tile-skip points (serial, and
-/// pool+cache at 2 and 8 threads). 50 points; index 0 is
-/// [`ExecPoint::baseline`].
+/// The full lattice: {scalar, compiled±spec} × {serial; scope-spawn and
+/// pool (with the plan cache both on and off) at 2 and 8 threads}, plus
+/// per engine variant three tile-skip points (serial, and pool+cache at 2
+/// and 8 threads). 30 points; index 0 is [`ExecPoint::baseline`].
 #[must_use]
 pub fn lattice() -> Vec<ExecPoint> {
     let mut points = Vec::new();
     for &(engine, spec) in &[
         (Engine::Scalar, false),
-        (Engine::Batched, true),
-        (Engine::Batched, false),
         (Engine::Compiled, true),
         (Engine::Compiled, false),
     ] {
@@ -189,9 +184,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lattice_has_50_points_and_starts_at_baseline() {
+    fn lattice_has_30_points_and_starts_at_baseline() {
         let points = lattice();
-        assert_eq!(points.len(), 50);
+        assert_eq!(points.len(), 30);
         assert_eq!(points[0], ExecPoint::baseline());
         // All distinct.
         for (i, a) in points.iter().enumerate() {
@@ -199,10 +194,10 @@ mod tests {
                 assert_ne!(a, b);
             }
         }
-        // Three skip-on points per engine tier: serial plus pooled at 2
-        // and 8 threads, all with the plan cache following the pool.
+        // Three skip-on points per engine variant: serial plus pooled at
+        // 2 and 8 threads, all with the plan cache following the pool.
         let skips: Vec<&ExecPoint> = points.iter().filter(|p| p.tile_skip).collect();
-        assert_eq!(skips.len(), 15);
+        assert_eq!(skips.len(), 9);
         for p in &skips {
             assert_eq!(p.pool, p.plan_cache);
             assert!(p.pool || p.threads == 1);
@@ -220,6 +215,7 @@ mod tests {
     #[test]
     fn parse_rejects_malformed_fields() {
         assert!(ExecPoint::parse("engine=vliw").is_err());
+        assert!(ExecPoint::parse("engine=batched").is_err());
         assert!(ExecPoint::parse("spec=maybe").is_err());
         assert!(ExecPoint::parse("skip=maybe").is_err());
         assert!(ExecPoint::parse("threads=zero").is_err());

@@ -2,7 +2,7 @@
 //!
 //! The stack makes a strong promise: the functional output of a GL script
 //! is a pure function of the script, never of *how* the driver executed
-//! it. Engine tier (scalar vs lane-batched), bind-time specialisation,
+//! it. Engine tier (scalar vs compiled), bind-time specialisation,
 //! dispatcher (serial, scope-spawn, persistent pool), draw-plan caching
 //! and host thread count are all pure wall-clock knobs; simulated timing
 //! is equally invariant, and a fault-injected run that recovers must be

@@ -158,21 +158,13 @@ pub fn check_case(case: &ConfCase) -> Option<Divergence> {
 }
 
 /// The execution points fault recovery is exercised at: the serial scalar
-/// baseline plus pooled, plan-cached batched and compiled points — both
-/// ends of the dispatcher spectrum, on every non-reference engine tier —
-/// and a tile-skip point, because a context loss must flush the signature
-/// cache (stale replays after recovery would silently corrupt pixels).
-fn recovery_points() -> [ExecPoint; 4] {
+/// baseline plus a pooled, plan-cached compiled point — both ends of the
+/// dispatcher spectrum, on both engine tiers — and a tile-skip point,
+/// because a context loss must flush the signature cache (stale replays
+/// after recovery would silently corrupt pixels).
+fn recovery_points() -> [ExecPoint; 3] {
     [
         ExecPoint::baseline(),
-        ExecPoint {
-            engine: Engine::Batched,
-            spec: true,
-            pool: true,
-            plan_cache: true,
-            tile_skip: false,
-            threads: 2,
-        },
         ExecPoint {
             engine: Engine::Compiled,
             spec: true,

@@ -18,7 +18,6 @@
 //! reproduces. [`ast_nodes`] is the size metric reported for shrunk
 //! kernels.
 
-use mgpu_gles::Engine;
 use mgpu_prop::shadergen::{ConfCase, Step};
 use mgpu_shader::ast::{Expr, Program, Stmt};
 use mgpu_shader::pretty::print_program;
@@ -564,16 +563,6 @@ pub fn shrink_point(point: ExecPoint, mut fails: impl FnMut(&ExecPoint) -> bool)
                 spec: false,
                 ..best
             },
-            // One engine tier down: a failure that also reproduces on the
-            // batched interpreter should not be blamed on the compiled
-            // tier's closure lowering.
-            ExecPoint {
-                engine: match best.engine {
-                    Engine::Compiled => Engine::Batched,
-                    other => other,
-                },
-                ..best
-            },
             ExecPoint {
                 spec: false,
                 ..best
@@ -692,7 +681,7 @@ mod tests {
     }
 
     #[test]
-    fn shrink_point_steps_compiled_down_to_batched_when_both_fail() {
+    fn shrink_point_keeps_compiled_when_scalar_passes() {
         let worst = ExecPoint {
             engine: Engine::Compiled,
             spec: false,
@@ -701,9 +690,10 @@ mod tests {
             tile_skip: false,
             threads: 1,
         };
-        // The failure reproduces on the batched interpreter too, but not
-        // on the scalar reference: the shrinker must settle on batched.
+        // The failure never reproduces on the scalar reference: the
+        // shrinker must keep the compiled tier, and it has nothing else
+        // left to simplify.
         let shrunk = shrink_point(worst, |p| p.engine != Engine::Scalar);
-        assert_eq!(shrunk.engine, Engine::Batched);
+        assert_eq!(shrunk, worst);
     }
 }

@@ -14,7 +14,7 @@ use mgpu_tbdr::Platform;
 #[test]
 fn lattice_agrees_on_generated_cases() {
     // Every generated case must produce identical transcripts and
-    // identical simulated-timing reports at all 35 lattice points on both
+    // identical simulated-timing reports at all 30 lattice points on both
     // paper platforms.
     run_cases(6, |rng| {
         let case = gen_case(rng);

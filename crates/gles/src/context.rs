@@ -776,7 +776,10 @@ impl Gl {
     ///
     /// # Errors
     ///
-    /// [`GlError::InvalidValue`] when `data` has the wrong size;
+    /// [`GlError::InvalidValue`] when `data` has the wrong size or the
+    /// storage size `width * height * channels` exceeds `isize::MAX`
+    /// bytes; [`GlError::OutOfMemory`] when the host cannot allocate the
+    /// storage (the texture is left unchanged on every error);
     /// [`GlError::UnknownObject`] for stale handles.
     pub fn tex_image_2d(
         &mut self,
@@ -788,7 +791,17 @@ impl Gl {
     ) -> Result<(), GlError> {
         self.ensure_live()?;
         self.inject_upload_fault("texture storage")?;
-        let expected = width as usize * height as usize * format.channels();
+        // A `Vec` holds at most `isize::MAX` bytes.
+        let expected = (width as usize)
+            .checked_mul(height as usize)
+            .and_then(|px| px.checked_mul(format.channels()))
+            .filter(|&bytes| isize::try_from(bytes).is_ok())
+            .ok_or_else(|| {
+                GlError::InvalidValue(format!(
+                    "texture storage {width}x{height}x{} overflows the address space",
+                    format.channels()
+                ))
+            })?;
         if let Some(d) = data {
             if d.len() != expected {
                 return Err(GlError::InvalidValue(format!(
@@ -803,17 +816,23 @@ impl Gl {
             .textures
             .get_mut(&tex.0)
             .ok_or_else(|| GlError::UnknownObject(tex.to_string()))?;
+        let mut bytes = Vec::new();
+        if functional {
+            bytes.try_reserve_exact(expected).map_err(|e| {
+                GlError::OutOfMemory(format!("texture storage of {expected} bytes: {e}"))
+            })?;
+            match data {
+                Some(d) => bytes.extend_from_slice(d),
+                None => bytes.resize(expected, 0),
+            }
+        }
         t.storage = storage;
         t.width = width;
         t.height = height;
         t.format = format;
         t.allocated = true;
         t.storage_fresh = true;
-        t.data = if functional {
-            data.map_or_else(|| vec![0u8; expected], <[u8]>::to_vec)
-        } else {
-            Vec::new()
-        };
+        t.data = bytes;
         t.touch();
         self.pending_uploads.push(Upload {
             resource: storage,

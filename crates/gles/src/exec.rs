@@ -39,9 +39,9 @@ use std::sync::OnceLock;
 /// Environment variable overriding the functional thread count.
 pub const THREADS_ENV: &str = "MGPU_THREADS";
 
-/// Environment variable selecting the fragment engine (`scalar`,
-/// `batched` or `compiled`; anything else is an [`EnvKnobError`] at
-/// context creation).
+/// Environment variable selecting the fragment engine (`scalar` or
+/// `compiled`; anything else is an [`EnvKnobError`] at context
+/// creation).
 pub const ENGINE_ENV: &str = "MGPU_ENGINE";
 
 /// Environment variable installing a deterministic fault plan on every
@@ -74,35 +74,33 @@ pub const PLAN_CACHE_ENV: &str = "MGPU_PLAN_CACHE";
 pub const TILE_SKIP_ENV: &str = "MGPU_TILE_SKIP";
 
 /// Environment variable disabling bind-time uniform specialisation
-/// (`off`/`0`/`false`/`no`): the batched engine then interprets the
+/// (`off`/`0`/`false`/`no`): the compiled engine then lowers the
 /// original shader with uniforms resolved at seat bind time, exactly like
 /// the scalar tier. A pure wall-clock knob — the conformance lattice holds
 /// spec-on and spec-off byte-identical — and the isolation lever when a
-/// divergence needs attributing to specialisation vs the batch engine.
+/// divergence needs attributing to specialisation vs the compiled
+/// lowering.
 pub const SPEC_ENV: &str = "MGPU_SPEC";
 
 /// Which functional fragment interpreter computes fragment colours.
 ///
-/// All three engines are bit-exact with each other — the scalar engine is
-/// the reference semantics, the batched engine a lane-parallel
-/// reformulation of the same f32 expressions, and the compiled engine a
-/// bind-time lowering of those expressions into fused native closures —
-/// so this knob only changes wall-clock time, never an output byte. The
-/// determinism tests at the workspace root and the conformance lattice
-/// hold the three engines against each other.
+/// The two engines are bit-exact with each other — the scalar engine is
+/// the reference semantics, and the compiled engine a bind-time lowering
+/// of the same f32 expressions into fused native closures — so this knob
+/// only changes wall-clock time, never an output byte. The determinism
+/// tests at the workspace root and the conformance lattice hold the two
+/// engines against each other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
     /// The original per-fragment scalar interpreter, uniforms resolved at
-    /// bind time but no shader specialisation: the reference path.
+    /// bind time but no shader specialisation: the reference path, and
+    /// the recovery ladder's scalar-fallback rung.
     Scalar,
-    /// The lane-batched SoA interpreter with bind-time uniform
-    /// specialisation: the throughput path, and the default.
-    #[default]
-    Batched,
     /// The straight-line IR lowered at bind time into a chain of fused,
-    /// monomorphised native closures (`mgpu_shader::compile`): no
-    /// per-instruction decode or scratch traffic at all — the fastest
-    /// tier on unrolled GPGPU kernels.
+    /// monomorphised native closures (`mgpu_shader::compile`), with
+    /// bind-time uniform specialisation: no per-instruction decode or
+    /// scratch traffic at all. The throughput path, and the default.
+    #[default]
     Compiled,
 }
 
@@ -202,17 +200,15 @@ impl EnvKnobs {
     }
 }
 
-const ENGINE_GRAMMAR: &str = "expected `scalar`, `batched` or `compiled`";
+const ENGINE_GRAMMAR: &str = "expected `scalar` or `compiled`";
 const THREADS_GRAMMAR: &str = "expected a positive integer";
 const SWITCH_GRAMMAR: &str = "expected `on`/`1`/`true`/`yes` or `off`/`0`/`false`/`no`";
 
-/// `scalar`/`batched`/`compiled`, case-insensitive and trimmed.
+/// `scalar`/`compiled`, case-insensitive and trimmed.
 fn parse_engine(value: &str) -> Option<Engine> {
     let v = value.trim();
     if v.eq_ignore_ascii_case("scalar") {
         Some(Engine::Scalar)
-    } else if v.eq_ignore_ascii_case("batched") {
-        Some(Engine::Batched)
     } else if v.eq_ignore_ascii_case("compiled") {
         Some(Engine::Compiled)
     } else {
@@ -273,7 +269,7 @@ fn env_knobs_or_panic() -> &'static EnvKnobs {
 
 impl Engine {
     /// The engine selected by `MGPU_ENGINE`, defaulting to
-    /// [`Engine::Batched`] when unset. Resolved **once** per process and
+    /// [`Engine::Compiled`] when unset. Resolved **once** per process and
     /// cached thereafter, so a mid-run environment mutation can never
     /// flip engines between draws.
     ///
@@ -425,12 +421,12 @@ impl ExecConfig {
     }
 
     /// This configuration with bind-time uniform specialisation switched
-    /// on or off. Specialisation only applies on the batched and compiled
-    /// tiers (the scalar tier is always the pristine reference
-    /// interpreter); with it off, those engines run the original shader
-    /// with uniforms resolved at bind time. Byte-identical either way — this knob
+    /// on or off. Specialisation only applies on the compiled tier (the
+    /// scalar tier is always the pristine reference interpreter); with it
+    /// off, the compiled engine lowers the original shader with uniforms
+    /// resolved at bind time. Byte-identical either way — this knob
     /// exists so the conformance lattice can attribute a divergence to
-    /// specialisation as opposed to lane batching.
+    /// specialisation as opposed to the lowering itself.
     #[must_use]
     pub const fn with_specialization(mut self, spec: bool) -> Self {
         self.spec = spec;
@@ -467,8 +463,8 @@ impl ExecConfig {
         self.pool
     }
 
-    /// Whether the batched tier specialises shaders against their bound
-    /// uniforms at bind time (always `false` on the scalar tier).
+    /// Whether the compiled tier specialises shaders against their bound
+    /// uniforms at bind time (ignored on the scalar tier).
     #[must_use]
     pub fn specialization(&self) -> bool {
         self.spec
@@ -530,8 +526,8 @@ mod tests {
         let cfg = ExecConfig::with_threads(4).with_engine(Engine::Scalar);
         assert_eq!(cfg.engine(), Engine::Scalar);
         assert_eq!(cfg.threads(), 4);
-        let cfg = cfg.with_engine(Engine::Batched).with_thread_count(2);
-        assert_eq!(cfg.engine(), Engine::Batched);
+        let cfg = cfg.with_engine(Engine::Compiled).with_thread_count(2);
+        assert_eq!(cfg.engine(), Engine::Compiled);
         assert_eq!(cfg.threads(), 2);
     }
 
@@ -589,11 +585,7 @@ mod tests {
                 format!("\t{}\n", token.to_uppercase()),
             ]
         };
-        for (token, engine) in [
-            ("scalar", Engine::Scalar),
-            ("batched", Engine::Batched),
-            ("compiled", Engine::Compiled),
-        ] {
+        for (token, engine) in [("scalar", Engine::Scalar), ("compiled", Engine::Compiled)] {
             for s in spellings(token) {
                 assert_eq!(parse_engine(&s), Some(engine), "engine `{s}`");
                 let knobs = resolve_one(ENGINE_ENV, &s).unwrap();
@@ -634,7 +626,7 @@ mod tests {
         // Unset and empty both mean "no plan", not an error.
         assert_eq!(resolve_one(FAULTS_ENV, "  ").unwrap().faults, None);
         let defaults = EnvKnobs::resolve(|_| None).unwrap();
-        assert_eq!(defaults.engine, Engine::Batched);
+        assert_eq!(defaults.engine, Engine::Compiled);
         assert!(defaults.pool && defaults.plan_cache && defaults.spec);
         assert!(!defaults.tile_skip, "tile skipping must default off");
         assert_eq!(defaults.threads, None);
@@ -645,7 +637,19 @@ mod tests {
     /// variable and its verbatim value — never a silent default.
     #[test]
     fn knob_grammar_rejects_invalid_values_with_typed_errors() {
-        let engine_bad = ["typo", "vliw", "scalarr", "batched compiled", "2", ""];
+        // Anything but the two engine names is rejected, never silently
+        // mapped to one of them.
+        let engine_bad = [
+            "typo",
+            "vliw",
+            "scalarr",
+            "batched",
+            "BATCHED",
+            " batched ",
+            "scalar compiled",
+            "2",
+            "",
+        ];
         for v in engine_bad {
             assert_eq!(parse_engine(v), None, "engine `{v}`");
             let err = resolve_one(ENGINE_ENV, v).unwrap_err();

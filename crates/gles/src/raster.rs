@@ -12,11 +12,13 @@
 //! out over a [`std::thread::scope`] worker pool, and can execute on
 //! either tier of the fragment engine according to an [`ExecConfig`]:
 //!
-//! * [`Engine::Scalar`] — the original per-fragment [`Executor`] over the
-//!   unmodified shader;
-//! * [`Engine::Batched`] — the shader is first specialised against the
-//!   bound uniforms ([`mgpu_shader::specialize`]), then executed in
-//!   [`LANES`]-wide batches by the SoA [`BatchExecutor`].
+//! * [`Engine::Scalar`] — the original per-fragment interpreter
+//!   ([`ExecCore`], the state of [`mgpu_shader::Executor`]) over the
+//!   unmodified shader: the reference;
+//! * [`Engine::Compiled`] — the shader is first specialised against the
+//!   bound uniforms ([`mgpu_shader::specialize`], unless specialisation
+//!   is off), lowered once per draw into a [`CompiledProgram`] shared by
+//!   every worker, then executed in [`LANES`]-wide batches.
 //!
 //! Both tiers share one interpolation scheme: a per-column table of the
 //! horizontal lerps (which depend only on `x`), finished per fragment with
@@ -41,8 +43,7 @@ use std::thread;
 
 use mgpu_shader::ir::Shader;
 use mgpu_shader::{
-    specialize, BatchCore, BatchExecutor, CompiledCore, CompiledProgram, ExecCore, ExecError,
-    Executor, Sampler, UniformValues, LANES,
+    specialize, CompiledCore, CompiledProgram, ExecCore, ExecError, Sampler, UniformValues, LANES,
 };
 
 use crate::exec::{Engine, ExecConfig, CHUNK_ROWS};
@@ -127,148 +128,11 @@ impl ColumnTable {
     }
 }
 
-/// Per-worker execution state for one tier of the fragment engine.
-enum FragEngine<'s> {
-    /// Per-fragment scalar interpretation.
-    Scalar(Executor<'s>),
-    /// Lane-batched SoA interpretation (boxed: the register planes are
-    /// large and the scratch buffers live alongside them).
-    Batched(Box<BatchState<'s>>),
-    /// Bind-time lowering to fused native closures (boxed: the plane file
-    /// is large).
-    Compiled(Box<CompiledState>),
-}
-
-/// The batched tier plus its reusable staging buffers.
-struct BatchState<'s> {
-    exec: BatchExecutor<'s>,
-    /// Slot-major varying staging, stride [`LANES`].
-    varyings: Vec<[f32; 4]>,
-    /// Per-lane output colours of the current batch.
-    colors: [[f32; 4]; LANES],
-}
-
-/// The compiled tier — its lowered program, plane file and staging
-/// buffers. The legacy (plan-less) dispatch path owns the program per
-/// worker; the planned path shares one build across seats instead (see
-/// [`CompiledSeat`]).
-struct CompiledState {
-    program: CompiledProgram,
-    core: CompiledCore,
-    /// Slot-major varying staging, stride [`LANES`].
-    varyings: Vec<[f32; 4]>,
-    /// Per-lane output colours of the current batch.
-    colors: [[f32; 4]; LANES],
-}
-
-impl<'s> FragEngine<'s> {
-    fn new(
-        shader: &'s Shader,
-        uniforms: &UniformValues,
-        engine: Engine,
-        slots: usize,
-    ) -> Result<Self, ExecError> {
-        Ok(match engine {
-            Engine::Scalar => FragEngine::Scalar(Executor::new(shader, uniforms)?),
-            Engine::Batched => FragEngine::Batched(Box::new(BatchState {
-                exec: BatchExecutor::new(shader, uniforms)?,
-                varyings: vec![[0.0f32; 4]; slots * LANES],
-                colors: [[0.0f32; 4]; LANES],
-            })),
-            Engine::Compiled => {
-                let program = CompiledProgram::build(shader, uniforms)?;
-                let core = CompiledCore::new(&program);
-                FragEngine::Compiled(Box::new(CompiledState {
-                    program,
-                    core,
-                    varyings: vec![[0.0f32; 4]; slots * LANES],
-                    colors: [[0.0f32; 4]; LANES],
-                }))
-            }
-        })
-    }
-}
-
-/// Runs the engine over rows `y0..y1` of the grid, calling `emit` for
-/// every fragment with its raw output colour, in row-major fragment order.
-/// Shared by every entry point and worker, so all paths interpolate and
-/// execute through the same code.
-fn drive_fragments(
-    engine: &mut FragEngine<'_>,
-    samplers: &[&dyn Sampler],
-    table: &ColumnTable,
-    height: u32,
-    y0: u32,
-    y1: u32,
-    mut emit: impl FnMut(u32, u32, [f32; 4]),
-) -> Result<(), ExecError> {
-    let width = table.width as u32;
-    match engine {
-        FragEngine::Scalar(ex) => {
-            let mut varying_values = vec![[0.0f32; 4]; table.slots];
-            for y in y0..y1 {
-                let v = (y as f32 + 0.5) / height as f32;
-                for x in 0..width {
-                    for (slot, val) in varying_values.iter_mut().enumerate() {
-                        *val = table.value(slot, x as usize, v);
-                    }
-                    emit(x, y, ex.run(&varying_values, samplers)?);
-                }
-            }
-        }
-        FragEngine::Batched(st) => {
-            for y in y0..y1 {
-                let v = (y as f32 + 0.5) / height as f32;
-                let mut x0 = 0u32;
-                while x0 < width {
-                    let n = (width - x0).min(LANES as u32) as usize;
-                    for slot in 0..table.slots {
-                        for l in 0..n {
-                            st.varyings[slot * LANES + l] = table.value(slot, x0 as usize + l, v);
-                        }
-                    }
-                    st.exec.run(&st.varyings, n, samplers, &mut st.colors)?;
-                    for (l, &color) in st.colors[..n].iter().enumerate() {
-                        emit(x0 + l as u32, y, color);
-                    }
-                    x0 += n as u32;
-                }
-            }
-        }
-        FragEngine::Compiled(st) => {
-            let CompiledState {
-                program,
-                core,
-                varyings,
-                colors,
-            } = &mut **st;
-            for y in y0..y1 {
-                let v = (y as f32 + 0.5) / height as f32;
-                let mut x0 = 0u32;
-                while x0 < width {
-                    let n = (width - x0).min(LANES as u32) as usize;
-                    for slot in 0..table.slots {
-                        for l in 0..n {
-                            varyings[slot * LANES + l] = table.value(slot, x0 as usize + l, v);
-                        }
-                    }
-                    program.run(core, varyings, n, samplers, colors)?;
-                    for (l, &color) in colors[..n].iter().enumerate() {
-                        emit(x0 + l as u32, y, color);
-                    }
-                    x0 += n as u32;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Runs `shader` over a `width`×`height` grid, calling `write` for every
 /// fragment with its raw (unclamped) output colour.
 ///
 /// This is the serial scalar reference path: the unmodified shader on the
-/// per-fragment [`Executor`], one fragment at a time.
+/// per-fragment scalar interpreter, one fragment at a time.
 ///
 /// `corners` supplies one corner set per varying slot, in shader declaration
 /// order.
@@ -288,8 +152,10 @@ pub fn rasterize_quad(
 ) -> Result<(), ExecError> {
     check_corners(shader, corners)?;
     let table = ColumnTable::new(corners, width);
-    let mut engine = FragEngine::new(shader, uniforms, Engine::Scalar, corners.len())?;
-    drive_fragments(&mut engine, samplers, &table, height, 0, height, write)
+    let mut seat = FragSeat::new(shader, uniforms, &Lowered::Scalar, corners.len())?;
+    run_seat_span(
+        &mut seat, shader, samplers, &table, height, 0, width, 0, height, write,
+    )
 }
 
 /// A writable pixel buffer for [`rasterize_quad_into`].
@@ -308,8 +174,9 @@ pub struct RasterTarget<'a> {
 /// Runs `shader` over the target grid, writing quantised pixels directly
 /// into `target.data` — serially, or on a scoped worker pool when `exec`
 /// asks for more than one thread, on the fragment-engine tier `exec`
-/// selects. With [`Engine::Batched`] the shader is first specialised
-/// against the bound uniforms, once per draw.
+/// selects. With [`Engine::Compiled`] the shader is first specialised
+/// against the bound uniforms (unless specialisation is off) and lowered,
+/// once per draw.
 ///
 /// The framebuffer is cut into fixed chunks of [`CHUNK_ROWS`] rows;
 /// chunks are dealt to workers round-robin by index and each worker runs
@@ -385,38 +252,18 @@ pub fn rasterize_quad_rows_into(
     let data = &mut data[y0 as usize * row_bytes..y1 as usize * row_bytes];
     let band_rows = y1 - y0;
 
-    // Bind-time specialisation: fold the bound uniforms into the shader
-    // as constants, once per draw. Only the batched and compiled tiers
-    // use it — the scalar tier stays the pristine reference path — and
-    // `MGPU_SPEC=off` (or `ExecConfig::with_specialization(false)`) skips
-    // it entirely, in which case uniforms resolve at seat bind time (the
-    // compiled tier folds them into constant planes either way). Timing
-    // is computed by the caller from the original shader, so this can
-    // never perturb the simulated cost.
-    let engine_kind = exec.engine();
-    let specialized;
-    let shader = match engine_kind {
-        Engine::Batched | Engine::Compiled if exec.specialization() => {
-            specialized = specialize(shader, uniforms)?;
-            &specialized
-        }
-        Engine::Scalar | Engine::Batched | Engine::Compiled => shader,
-    };
+    // Lower once per draw; every worker's seat shares the build.
+    let (specialized, lowered) = lower(shader, uniforms, exec.engine(), exec.specialization())?;
+    let shader = specialized.as_ref().unwrap_or(shader);
     let table = ColumnTable::new(corners, width);
+    let new_seat = || FragSeat::new(shader, uniforms, &lowered, corners.len());
 
     let n_chunks = band_rows.div_ceil(CHUNK_ROWS) as usize;
     let threads = exec.threads().min(n_chunks);
     if threads <= 1 {
-        let mut engine = FragEngine::new(shader, uniforms, engine_kind, corners.len())?;
-        return run_rows(
-            &mut engine,
-            samplers,
-            &table,
-            height,
-            y0,
-            y1,
-            channels,
-            data,
+        let mut seat = new_seat()?;
+        return run_seat_rows(
+            &mut seat, shader, samplers, &table, height, y0, y1, channels, data,
         );
     }
 
@@ -430,17 +277,17 @@ pub fn rasterize_quad_rows_into(
     }
 
     let table = &table;
+    let new_seat = &new_seat;
     let first_err = thread::scope(|s| {
         let handles: Vec<_> = per_worker
             .into_iter()
             .map(|chunks| {
                 s.spawn(move || -> Option<(usize, ExecError)> {
-                    // One engine instance per worker.
-                    let mut engine =
-                        match FragEngine::new(shader, uniforms, engine_kind, corners.len()) {
-                            Ok(engine) => engine,
-                            Err(e) => return Some((chunks.first().map_or(0, |(i, _)| *i), e)),
-                        };
+                    // One engine seat per worker.
+                    let mut seat = match new_seat() {
+                        Ok(seat) => seat,
+                        Err(e) => return Some((chunks.first().map_or(0, |(i, _)| *i), e)),
+                    };
                     for (i, slice) in chunks {
                         // Chunk indices are band-relative; rows stay global
                         // so band draws are bit-identical to full draws.
@@ -449,14 +296,8 @@ pub fn rasterize_quad_rows_into(
                         // Contain panics per chunk so no unwind crosses the
                         // scope boundary and poisons the caller.
                         let run = catch_unwind(AssertUnwindSafe(|| {
-                            run_rows(
-                                &mut engine,
-                                samplers,
-                                table,
-                                height,
-                                cy0,
-                                cy1,
-                                channels,
+                            run_seat_rows(
+                                &mut seat, shader, samplers, table, height, cy0, cy1, channels,
                                 slice,
                             )
                         }));
@@ -521,50 +362,59 @@ fn check_corners(shader: &Shader, corners: &[VaryingCorners]) -> Result<(), Exec
     Ok(())
 }
 
-/// Executes rows `y0..y1`, quantising into `out` (which covers exactly
-/// those rows). Shared by the serial path and every parallel worker, so
-/// both paths run the same per-fragment code.
-#[allow(clippy::too_many_arguments)]
-fn run_rows(
-    engine: &mut FragEngine<'_>,
-    samplers: &[&dyn Sampler],
-    table: &ColumnTable,
-    height: u32,
-    y0: u32,
-    y1: u32,
-    channels: usize,
-    out: &mut [u8],
-) -> Result<(), ExecError> {
-    let width = table.width;
-    drive_fragments(engine, samplers, table, height, y0, y1, |x, y, rgba| {
-        let px = quantize_rgba8(rgba);
-        let idx = ((y - y0) as usize * width + x as usize) * channels;
-        out[idx..idx + channels].copy_from_slice(&px[..channels]);
-    })
+/// A draw's shader lowered for its engine tier, built once per draw (or
+/// per plan) by [`lower`] and shared by every seat.
+enum Lowered {
+    /// The scalar tier interprets the IR directly: nothing to lower.
+    Scalar,
+    /// The compiled tier's native-closure program.
+    Compiled(Arc<CompiledProgram>),
 }
 
-/// One participant's owned engine state in a planned dispatch — the
-/// self-contained counterpart of [`FragEngine`], built on
-/// [`ExecCore`]/[`BatchCore`] so it holds no shader borrow and a
+impl Lowered {
+    fn engine(&self) -> Engine {
+        match self {
+            Lowered::Scalar => Engine::Scalar,
+            Lowered::Compiled(_) => Engine::Compiled,
+        }
+    }
+}
+
+/// The engine decision every dispatch path shares. The compiled tier
+/// folds the bound uniforms into `source` as constants (bind-time
+/// specialisation, unless `spec` is off — `MGPU_SPEC=off` or
+/// `ExecConfig::with_specialization(false)` — in which case the lowering
+/// folds them into constant planes instead) and lowers the result once.
+/// The scalar tier runs `source` as is: it stays the pristine reference
+/// path. Returns the specialised shader, if one was made, with the
+/// lowered program. Timing is computed by the caller from the original
+/// shader, so none of this can perturb the simulated cost.
+fn lower(
+    source: &Shader,
+    uniforms: &UniformValues,
+    engine: Engine,
+    spec: bool,
+) -> Result<(Option<Shader>, Lowered), ExecError> {
+    match engine {
+        Engine::Scalar => Ok((None, Lowered::Scalar)),
+        Engine::Compiled => {
+            let specialized = spec.then(|| specialize(source, uniforms)).transpose()?;
+            let program = CompiledProgram::build(specialized.as_ref().unwrap_or(source), uniforms)?;
+            Ok((specialized, Lowered::Compiled(Arc::new(program))))
+        }
+    }
+}
+
+/// One worker's engine state, shared by every dispatch path: built on
+/// [`ExecCore`]/[`CompiledCore`] so it holds no shader borrow and a
 /// [`DrawPlan`] can cache it across draws.
 enum FragSeat {
     /// Per-fragment scalar interpretation.
     Scalar(ExecCore),
-    /// Lane-batched SoA interpretation (boxed: large register planes).
-    Batched(Box<BatchSeat>),
     /// Fused native-closure execution (boxed: large plane file). The
-    /// program is the plan's single shared build — seats only own a plane
-    /// file and staging buffers.
+    /// program is one shared build per plan (or per draw on the plan-less
+    /// path) — seats only own a plane file and staging buffers.
     Compiled(Box<CompiledSeat>),
-}
-
-/// The batched tier's core plus its reusable staging buffers.
-struct BatchSeat {
-    core: BatchCore,
-    /// Slot-major varying staging, stride [`LANES`].
-    varyings: Vec<[f32; 4]>,
-    /// Per-lane output colours of the current batch.
-    colors: [[f32; 4]; LANES],
 }
 
 /// The compiled tier's plane file plus staging, sharing the plan's
@@ -579,62 +429,44 @@ struct CompiledSeat {
 }
 
 impl FragSeat {
+    /// A seat on `lowered`'s tier, bound to `shader` (the shader `lowered`
+    /// was built from) and `uniforms`.
     fn new(
         shader: &Shader,
         uniforms: &UniformValues,
-        engine: Engine,
+        lowered: &Lowered,
         slots: usize,
-        compiled: Option<&Arc<CompiledProgram>>,
     ) -> Result<Self, ExecError> {
-        Ok(match engine {
-            Engine::Scalar => FragSeat::Scalar(ExecCore::new(shader, uniforms)?),
-            Engine::Batched => FragSeat::Batched(Box::new(BatchSeat {
-                core: BatchCore::new(shader, uniforms)?,
+        Ok(match lowered {
+            Lowered::Scalar => FragSeat::Scalar(ExecCore::new(shader, uniforms)?),
+            Lowered::Compiled(program) => FragSeat::Compiled(Box::new(CompiledSeat {
+                program: Arc::clone(program),
+                core: CompiledCore::new(program),
                 varyings: vec![[0.0f32; 4]; slots * LANES],
                 colors: [[0.0f32; 4]; LANES],
             })),
-            Engine::Compiled => {
-                let program = Arc::clone(
-                    compiled
-                        .ok_or_else(|| ExecError::new("compiled plan has no lowered program"))?,
-                );
-                let core = CompiledCore::new(&program);
-                FragSeat::Compiled(Box::new(CompiledSeat {
-                    program,
-                    core,
-                    varyings: vec![[0.0f32; 4]; slots * LANES],
-                    colors: [[0.0f32; 4]; LANES],
-                }))
-            }
         })
     }
 
-    /// Rebinds the seat to a new shader/uniform pair, reusing its
-    /// allocations. The seat's tier must match the plan's engine — the
-    /// caller guarantees it by only recycling seats from a same-engine
-    /// plan — and `compiled` must be the plan's lowered program on the
-    /// compiled tier.
+    /// Rebinds the seat as [`FragSeat::new`] would bind a fresh one,
+    /// reusing its allocations when it is already on `lowered`'s tier.
     fn rebind(
         &mut self,
         shader: &Shader,
         uniforms: &UniformValues,
+        lowered: &Lowered,
         slots: usize,
-        compiled: Option<&Arc<CompiledProgram>>,
     ) -> Result<(), ExecError> {
-        match self {
-            FragSeat::Scalar(core) => core.rebind(shader, uniforms),
-            FragSeat::Batched(seat) => {
+        match (&mut *self, lowered) {
+            (FragSeat::Scalar(core), Lowered::Scalar) => core.rebind(shader, uniforms),
+            (FragSeat::Compiled(seat), Lowered::Compiled(program)) => {
+                seat.core.rebind(program);
+                seat.program = Arc::clone(program);
                 seat.varyings.resize(slots * LANES, [0.0f32; 4]);
-                seat.core.rebind(shader, uniforms)
+                Ok(())
             }
-            FragSeat::Compiled(seat) => {
-                let program = Arc::clone(
-                    compiled
-                        .ok_or_else(|| ExecError::new("compiled plan has no lowered program"))?,
-                );
-                seat.core.rebind(&program);
-                seat.program = program;
-                seat.varyings.resize(slots * LANES, [0.0f32; 4]);
+            _ => {
+                *self = FragSeat::new(shader, uniforms, lowered, slots)?;
                 Ok(())
             }
         }
@@ -642,9 +474,9 @@ impl FragSeat {
 }
 
 /// Runs a seat over rows `y0..y1`, quantising into `out` (which covers
-/// exactly those rows) — the owned-engine counterpart of [`run_rows`],
-/// interpolating and executing through the same expressions so both
-/// dispatch paths are byte-for-byte identical.
+/// exactly those rows). Shared by the serial path, every scope-spawn
+/// worker and every pool participant, so all dispatch paths interpolate
+/// and execute through the same code.
 #[allow(clippy::too_many_arguments)]
 fn run_seat_rows(
     seat: &mut FragSeat,
@@ -710,26 +542,6 @@ fn run_seat_span(
                 }
             }
         }
-        FragSeat::Batched(st) => {
-            for y in y0..y1 {
-                let v = (y as f32 + 0.5) / height as f32;
-                let mut xb = x0;
-                while xb < x1 {
-                    let n = (x1 - xb).min(LANES as u32) as usize;
-                    for slot in 0..table.slots {
-                        for l in 0..n {
-                            st.varyings[slot * LANES + l] = table.value(slot, xb as usize + l, v);
-                        }
-                    }
-                    st.core
-                        .run(shader, &st.varyings, n, samplers, &mut st.colors)?;
-                    for (l, &color) in st.colors[..n].iter().enumerate() {
-                        emit(xb + l as u32, y, color);
-                    }
-                    xb += n as u32;
-                }
-            }
-        }
         FragSeat::Compiled(st) => {
             let CompiledSeat {
                 program,
@@ -761,7 +573,7 @@ fn run_seat_span(
 
 /// Everything a draw sets up that does not depend on framebuffer or
 /// texture *contents*: the executable shader (specialised against the
-/// bound uniforms on the batched tier), the column-hoisted interpolation
+/// bound uniforms on the compiled tier), the column-hoisted interpolation
 /// table for the target width, and per-worker engine seats. The context's
 /// plan cache keys these by (program, shader hash, uniform hash, engine,
 /// target geometry, corners), so a cached plan is only ever executed with
@@ -770,15 +582,13 @@ fn run_seat_span(
 /// fresh to every [`execute_plan`] call.
 pub(crate) struct DrawPlan {
     /// The shader the seats are bound to: the source program's shader on
-    /// the scalar tier, its uniform-specialised clone on the batched and
-    /// compiled tiers (with specialisation enabled).
+    /// the scalar tier, its uniform-specialised clone on the compiled
+    /// tier (with specialisation enabled).
     shader: Arc<Shader>,
-    /// The compiled tier's lowered program, built once per plan and
-    /// shared by every seat (`None` on the other tiers). Caching the plan
-    /// therefore caches the lowering — a cache hit pays zero decode *and*
-    /// zero build.
-    compiled: Option<Arc<CompiledProgram>>,
-    engine: Engine,
+    /// The shader lowered for the plan's tier, built once per plan and
+    /// shared by every seat. Caching the plan therefore caches the
+    /// lowering — a cache hit pays zero decode *and* zero build.
+    lowered: Lowered,
     /// Kept so additional seats can be bound lazily when the thread count
     /// rises after the plan was built.
     uniforms: UniformValues,
@@ -793,7 +603,7 @@ pub(crate) struct DrawPlan {
 impl std::fmt::Debug for DrawPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DrawPlan")
-            .field("engine", &self.engine)
+            .field("engine", &self.lowered.engine())
             .field("width", &self.width)
             .field("slots", &self.slots)
             .field("seats", &self.seats.len())
@@ -804,9 +614,9 @@ impl std::fmt::Debug for DrawPlan {
 impl DrawPlan {
     /// Builds a plan for drawing `source` with `uniforms` onto a
     /// `width`-wide target. `recycled` donates a dead plan's allocations
-    /// (seats, register files) when its engine matches — used by the
-    /// cache-disabled path to avoid rebuilding engine state from scratch
-    /// every draw.
+    /// (seats, register files; a seat on another tier is rebuilt) — used
+    /// by the cache-disabled path to avoid rebuilding engine state from
+    /// scratch every draw.
     ///
     /// # Errors
     ///
@@ -822,36 +632,20 @@ impl DrawPlan {
         recycled: Option<DrawPlan>,
     ) -> Result<DrawPlan, ExecError> {
         check_corners(source, corners)?;
-        let shader = match engine {
-            Engine::Batched | Engine::Compiled if spec => Arc::new(specialize(source, uniforms)?),
-            Engine::Scalar | Engine::Batched | Engine::Compiled => Arc::clone(source),
-        };
         // Lower once per plan; every seat shares the build.
-        let compiled = match engine {
-            Engine::Compiled => Some(Arc::new(CompiledProgram::build(&shader, uniforms)?)),
-            Engine::Scalar | Engine::Batched => None,
-        };
+        let (specialized, lowered) = lower(source, uniforms, engine, spec)?;
+        let shader = specialized.map_or_else(|| Arc::clone(source), Arc::new);
         let slots = corners.len();
-        let mut seats = match recycled {
-            Some(old) if old.engine == engine => old.seats,
-            _ => Vec::new(),
-        };
+        let mut seats = recycled.map_or_else(Vec::new, |old| old.seats);
         for seat in &mut seats {
-            seat.rebind(&shader, uniforms, slots, compiled.as_ref())?;
+            seat.rebind(&shader, uniforms, &lowered, slots)?;
         }
         if seats.is_empty() {
-            seats.push(FragSeat::new(
-                &shader,
-                uniforms,
-                engine,
-                slots,
-                compiled.as_ref(),
-            )?);
+            seats.push(FragSeat::new(&shader, uniforms, &lowered, slots)?);
         }
         Ok(DrawPlan {
             shader,
-            compiled,
-            engine,
+            lowered,
             uniforms: uniforms.clone(),
             slots,
             width,
@@ -865,9 +659,8 @@ impl DrawPlan {
             self.seats.push(FragSeat::new(
                 &self.shader,
                 &self.uniforms,
-                self.engine,
+                &self.lowered,
                 self.slots,
-                self.compiled.as_ref(),
             )?);
         }
         Ok(())
@@ -1323,7 +1116,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_engine_is_byte_identical_to_scalar() {
+    fn compiled_engine_is_byte_identical_to_scalar() {
         let sh = compile(
             "varying vec2 v;\n\
              void main() {\n\
@@ -1338,11 +1131,11 @@ mod tests {
         for &(w, h) in &[(1u32, 5u32), (63, 9), (64, 3), (65, 7), (200, 11)] {
             let scalar = raster_bytes(&sh, w, h, 4, &ExecConfig::serial());
             for threads in [1usize, 4] {
-                let cfg = ExecConfig::with_threads(threads).with_engine(Engine::Batched);
+                let cfg = ExecConfig::with_threads(threads).with_engine(Engine::Compiled);
                 assert_eq!(
                     raster_bytes(&sh, w, h, 4, &cfg),
                     scalar,
-                    "{w}x{h} batched at {threads} threads"
+                    "{w}x{h} compiled at {threads} threads"
                 );
             }
         }
@@ -1482,7 +1275,7 @@ mod tests {
             &shader,
             uniforms,
             engine,
-            engine == Engine::Batched,
+            engine == Engine::Compiled,
             &[texcoord_corners()],
             w,
             plan.take(),
@@ -1527,7 +1320,7 @@ mod tests {
         let mut plan = None;
         for &(w, h) in &[(33u32, 17u32), (64, 64), (5, 97), (1, 1), (65, 40)] {
             for &ch in &[3usize, 4] {
-                for engine in [Engine::Scalar, Engine::Batched] {
+                for engine in [Engine::Scalar, Engine::Compiled] {
                     let mut legacy = vec![0u8; w as usize * h as usize * ch];
                     rasterize_quad_into(
                         &sh,
@@ -1573,7 +1366,7 @@ mod tests {
             w,
             h,
             4,
-            Engine::Batched,
+            Engine::Compiled,
             4,
             &mut pool,
             &mut plan,
@@ -1582,7 +1375,7 @@ mod tests {
         let mut band_plan = DrawPlan::build(
             &shader,
             &UniformValues::new(),
-            Engine::Batched,
+            Engine::Compiled,
             true,
             &[texcoord_corners()],
             w,
@@ -1629,7 +1422,7 @@ mod tests {
         uniforms.set_scalar("scale", 3.7);
         let shader = Arc::new(sh);
         let (w, h) = (100u32, 70u32);
-        for engine in [Engine::Scalar, Engine::Batched, Engine::Compiled] {
+        for engine in [Engine::Scalar, Engine::Compiled] {
             let mut plan = DrawPlan::build(
                 &shader,
                 &uniforms,

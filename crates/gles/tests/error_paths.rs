@@ -124,3 +124,30 @@ fn serial_and_parallel_report_the_same_execution_error() {
         .collect();
     assert_eq!(errs[0], errs[1]);
 }
+
+#[test]
+fn oversized_texture_storage_is_invalid_value_and_leaves_the_texture_intact() {
+    let mut gl = gl_with_threads(1);
+    let tex = gl.create_texture();
+    let data: Vec<u8> = (0..2 * 2 * 4).map(|i| i as u8).collect();
+    gl.tex_image_2d(tex, 2, 2, TextureFormat::Rgba8, Some(&data))
+        .unwrap();
+    // `1<<31` squared times four channels wraps to exactly zero bytes;
+    // `u32::MAX` squared overflows to a size no allocator can satisfy;
+    // `1<<31` by `1<<30` fits `usize` at `2^63` bytes, past `isize::MAX`.
+    for (w, h) in [
+        (1u32 << 31, 1u32 << 31),
+        (u32::MAX, u32::MAX),
+        (1 << 31, 1 << 30),
+    ] {
+        for upload in [None, Some(&data[..])] {
+            let err = gl
+                .tex_image_2d(tex, w, h, TextureFormat::Rgba8, upload)
+                .unwrap_err();
+            assert!(matches!(err, GlError::InvalidValue(_)), "{w}x{h}: {err}");
+            assert_eq!(gl.texture_info(tex).unwrap(), (2, 2, TextureFormat::Rgba8));
+            assert_eq!(gl.texture_data(tex).unwrap(), &data[..]);
+        }
+    }
+    assert_still_usable(&mut gl);
+}

@@ -103,23 +103,25 @@ fn engine_target_and_corners_each_rekey() {
     gl.set_uniform_scalar(prog, "u_k", 1.0).expect("sets");
     let golden = draw(&mut gl);
 
-    // Engine tier is part of the key; output must not change. (The
-    // golden draw above ran on the default batched tier, so scalar and
-    // compiled each add a fresh miss.)
+    // Engine tier is part of the key; output must not change. Switching
+    // from the golden draw's tier to the other one adds a fresh miss.
+    let other = match gl.exec_config().engine() {
+        Engine::Scalar => Engine::Compiled,
+        Engine::Compiled => Engine::Scalar,
+    };
+    let before_engines = gl.plan_cache_stats().misses;
     gl.set_exec_config(
         ExecConfig::with_threads(2)
             .with_pool(true)
-            .with_engine(Engine::Scalar),
-    );
-    assert_eq!(draw(&mut gl), golden);
-    gl.set_exec_config(
-        ExecConfig::with_threads(2)
-            .with_pool(true)
-            .with_engine(Engine::Compiled),
+            .with_engine(other),
     );
     assert_eq!(draw(&mut gl), golden);
     let after_engines = gl.plan_cache_stats();
-    assert!(after_engines.misses >= 3, "engine change must re-key");
+    assert_eq!(
+        after_engines.misses,
+        before_engines + 1,
+        "engine change must re-key"
+    );
 
     // Target geometry: rendering into a 4×4 FBO texture re-keys.
     let tex = gl.create_texture();
@@ -376,7 +378,7 @@ fn run_script(
 #[test]
 fn cache_is_invisible_across_the_mutation_script() {
     for platform in [Platform::videocore_iv(), Platform::sgx_545()] {
-        for engine in [Engine::Scalar, Engine::Batched, Engine::Compiled] {
+        for engine in [Engine::Scalar, Engine::Compiled] {
             let legacy = run_script(&platform, engine, false, false);
             let pooled = run_script(&platform, engine, true, false);
             let cached = run_script(&platform, engine, true, true);

@@ -207,13 +207,13 @@ fn engine_switch_and_recreate_flush_the_cache() {
     draw(&mut gl);
     assert_eq!(counters(&gl), (4, 4, 0, 4 * TILE_BYTES, 4));
 
-    // Switching the fragment engine (serial() pins Scalar, so Batched is
+    // Switching the fragment engine (serial() pins Scalar, so Compiled is
     // a real switch) flushes: engine is part of the plan key anyway, but
     // stale entries must not pin memory. The switch must not change
     // pixels.
     gl.set_exec_config(
         ExecConfig::serial()
-            .with_engine(Engine::Batched)
+            .with_engine(Engine::Compiled)
             .with_tile_skip(true),
     );
     assert_eq!(gl.tile_skip_stats().entries, 0, "engine switch flushes");
@@ -335,7 +335,7 @@ fn run_script(platform: &Platform, engine: Engine, pool: bool, skip: bool) -> Ve
 #[test]
 fn skip_is_pixel_invisible_across_the_mutation_script() {
     for platform in [Platform::videocore_iv(), Platform::sgx_545()] {
-        for engine in [Engine::Scalar, Engine::Batched, Engine::Compiled] {
+        for engine in [Engine::Scalar, Engine::Compiled] {
             for pool in [false, true] {
                 let plain = run_script(&platform, engine, pool, false);
                 let skipping = run_script(&platform, engine, pool, true);

@@ -73,7 +73,7 @@ pub struct OptConfig {
     /// identical for every value.
     pub threads: Option<usize>,
     /// Fragment-engine tier for functional execution (`None` keeps the
-    /// context's setting — `MGPU_ENGINE` or the batched default). Like
+    /// context's setting — `MGPU_ENGINE` or the compiled default). Like
     /// `threads`, purely a wall-clock knob: both engines are bit-exact.
     pub engine: Option<Engine>,
     /// Pooled dispatch with draw-plan caching vs the legacy per-draw
@@ -81,7 +81,7 @@ pub struct OptConfig {
     /// `MGPU_POOL` or pooled by default). Like `threads`, purely a
     /// wall-clock knob: both dispatchers are bit-exact.
     pub pool: Option<bool>,
-    /// Bind-time uniform specialisation on the batched tier (`None` keeps
+    /// Bind-time uniform specialisation on the compiled tier (`None` keeps
     /// the context's setting — `MGPU_SPEC` or on by default). Like
     /// `threads`, purely a wall-clock knob: spec-on and spec-off are
     /// bit-exact.
@@ -203,7 +203,7 @@ impl OptConfig {
     }
 
     /// Pins bind-time uniform specialisation on (`true`) or off (`false`)
-    /// for the batched tier.
+    /// for the compiled tier.
     #[must_use]
     pub fn with_specialization(mut self, spec: bool) -> Self {
         self.spec = Some(spec);

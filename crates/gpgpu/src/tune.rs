@@ -467,21 +467,21 @@ mod tests {
                 .collect()
         };
         let scalar = ExecConfig::serial();
-        let batched = ExecConfig::serial().with_engine(Engine::Batched);
+        let compiled = ExecConfig::serial().with_engine(Engine::Compiled);
         assert_eq!(
             strip(&tune_sum_with_exec(&p, 64, &a, &b, 2, 8, &scalar).unwrap()),
-            strip(&tune_sum_with_exec(&p, 64, &a, &b, 2, 8, &batched).unwrap()),
+            strip(&tune_sum_with_exec(&p, 64, &a, &b, 2, 8, &compiled).unwrap()),
         );
         assert_eq!(
             strip(&tune_sgemm_with_exec(&p, 64, &a, &b, &[1, 4], 1, 3, &scalar).unwrap()),
-            strip(&tune_sgemm_with_exec(&p, 64, &a, &b, &[1, 4], 1, 3, &batched).unwrap()),
+            strip(&tune_sgemm_with_exec(&p, 64, &a, &b, &[1, 4], 1, 3, &compiled).unwrap()),
         );
         // The stamped engine survives into the returned configs.
-        let tuned = tune_sum_with_exec(&p, 64, &a, &b, 2, 8, &batched).unwrap();
+        let tuned = tune_sum_with_exec(&p, 64, &a, &b, 2, 8, &compiled).unwrap();
         assert!(tuned
             .ranked
             .iter()
-            .all(|pt| pt.config.engine == Some(Engine::Batched)));
+            .all(|pt| pt.config.engine == Some(Engine::Compiled)));
     }
 
     #[test]

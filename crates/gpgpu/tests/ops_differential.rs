@@ -1,6 +1,6 @@
 //! Differential coverage for the operators the config-space sweep in
 //! `correctness.rs` exercises on only one engine or platform: every op
-//! runs under scalar, batched and compiled fragment execution (with
+//! runs under scalar and compiled fragment execution (the latter with
 //! specialisation on and off) on both paper platforms, and
 //!
 //! 1. all engine variants must agree **bit-exactly** (the engines'
@@ -18,22 +18,14 @@ use mgpu_workloads::{
     reduce_sum_ref, saxpy_ref, transpose_ref,
 };
 
-/// The engine variants every op must agree across: scalar, batched with
-/// bind-time uniform specialisation, batched resolving uniforms at
-/// seat-bind time, and the compiled closure-chain tier (with and without
-/// specialisation, which gates most of its fusion rules).
+/// The engine variants every op must agree across: the scalar reference,
+/// and the compiled closure-chain tier with and without bind-time uniform
+/// specialisation (which gates most of its fusion rules; without it,
+/// uniforms resolve at seat-bind time).
 fn engine_variants() -> Vec<(&'static str, OptConfig)> {
     let base = OptConfig::baseline().without_swap();
     vec![
         ("scalar", base.with_engine(Engine::Scalar)),
-        (
-            "batched+spec",
-            base.with_engine(Engine::Batched).with_specialization(true),
-        ),
-        (
-            "batched-spec",
-            base.with_engine(Engine::Batched).with_specialization(false),
-        ),
         (
             "compiled+spec",
             base.with_engine(Engine::Compiled).with_specialization(true),

@@ -1,10 +1,9 @@
 //! Ahead-of-time lowering of straight-line IR into fused native closures.
 //!
-//! [`CompiledProgram`] is the third tier of the fragment engine: where the
-//! scalar [`Executor`](crate::Executor) decodes one instruction per
-//! fragment and the SoA [`BatchExecutor`](crate::BatchExecutor) decodes
-//! one instruction per [`LANES`]-wide batch, the compiled tier decodes
-//! each instruction **once, at bind time**, lowering the (already
+//! [`CompiledProgram`] is the throughput tier of the fragment engine:
+//! where the scalar [`Executor`](crate::Executor) decodes one instruction
+//! per fragment, the compiled tier decodes each instruction **once, at
+//! bind time**, lowering the (already
 //! unrolled, already inlined, possibly uniform-specialised) straight-line
 //! IR into a chain of monomorphised Rust closures over a flat
 //! single-assignment plane file. Running a batch is then a plain walk of
@@ -19,8 +18,7 @@
 //!    Because the IR is straight-line, every source slot of a step is
 //!    strictly smaller than its destination slot, so each step can split
 //!    the plane file once (`split_at_mut`) and write its output planes
-//!    directly — the per-instruction zero-initialise + copy-back the batch
-//!    interpreter pays (4 KiB per instruction per batch) disappears.
+//!    directly, with no per-instruction zero-initialise or copy-back.
 //!    Registers that are never written read from the zero slot, exactly
 //!    like the scalar tier's zero-initialised register file.
 //! 2. **Constant folding into planes.** Uniforms and `Const` results are
@@ -57,15 +55,20 @@
 //!    deferred steps are emitted individually — so partial matches fall
 //!    back to the unfused lowering instead of miscompiling.
 //!
-//! The contract is the same strict bit-identity the batch tier holds (see
-//! [`crate::BatchExecutor`]): for every lane, every step evaluates
-//! exactly the f32 expressions of the scalar reference — same broadcast
-//! rules, same accumulation order, same `mul24` truncation — with the one
-//! NaN-*payload* carve-out shared by all tiers. The differential tests in
-//! this module and the conformance lattice in `crates/conformance` hold
-//! the three tiers against each other.
+//! The contract is strict bit-identity: for every lane, every step
+//! evaluates exactly the f32 expressions of the scalar reference — same
+//! broadcast rules, same accumulation order, same `mul24` truncation — so
+//! a batch of N fragments produces byte-for-byte the outputs of N scalar
+//! runs. The one IEEE 754 carve-out is NaN *payloads*: when two different
+//! NaN bit patterns meet in one operation the propagated payload is
+//! unspecified and codegen may commute the operands, so the two tiers can
+//! surface different (equally valid) NaN payloads. NaN-ness itself is
+//! deterministic, and the rasteriser's quantisation maps every NaN to the
+//! same byte, so pipeline output stays byte-identical. The differential
+//! tests in this module, the property tests in `tests/compiled.rs` and
+//! the conformance lattice in `crates/conformance` hold the two tiers
+//! against each other.
 
-use crate::batch::LANES;
 use crate::error::ExecError;
 use crate::ir::{CmpOp, InputKind, Op, Reg, Shader};
 use std::sync::Arc;
@@ -73,6 +76,9 @@ use std::sync::Arc;
 use crate::vm::{
     eval_pure_op, register_widths, truncate_to_24bit, u8_to_unorm, Sampler, UniformValues,
 };
+
+/// Number of fragments evaluated per batch.
+pub const LANES: usize = 64;
 
 /// One component plane: the same slot component across all lanes.
 type Plane = [f32; LANES];
@@ -99,8 +105,12 @@ type Step = Box<dyn Fn(&mut Lanes<'_, '_>) -> Result<(), ExecError> + Send + Syn
 /// build can be shared across every seat of a draw plan.
 pub struct CompiledProgram {
     steps: Vec<Step>,
-    /// Initial plane file: zeros everywhere except constant slots.
-    init: Vec<Plane>,
+    /// Plane-file size: four planes per slot.
+    planes: usize,
+    /// Flat plane base and value of every constant slot. Every other
+    /// plane starts at zero. Kept sparse so a cached program does not
+    /// hold a second full plane file next to its seats'.
+    consts: Vec<(usize, [f32; 4])>,
     /// Flat plane base (`slot * 4`) of each varying, in declaration order.
     varying_bases: Vec<usize>,
     /// Flat plane base of the output register's slot.
@@ -111,18 +121,17 @@ impl std::fmt::Debug for CompiledProgram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompiledProgram")
             .field("steps", &self.steps.len())
-            .field("slots", &(self.init.len() / 4))
+            .field("slots", &(self.planes / 4))
             .field("varyings", &self.varying_bases.len())
             .finish()
     }
 }
 
-/// The mutable per-worker state of the compiled tier: a plane file cloned
-/// from the program's constant-initialised template, plus fetch staging.
-/// The counterpart of [`ExecCore`](crate::ExecCore) /
-/// [`BatchCore`](crate::BatchCore) for long-lived seat caches: rebind it
-/// to a different program with [`CompiledCore::rebind`] to reuse its
-/// allocation.
+/// The mutable per-worker state of the compiled tier: a plane file seeded
+/// with the program's constants, plus fetch staging.
+/// The counterpart of [`ExecCore`](crate::ExecCore) for long-lived seat
+/// caches: rebind it to a different program with [`CompiledCore::rebind`]
+/// to reuse its allocation.
 #[derive(Debug)]
 pub struct CompiledCore {
     planes: Vec<Plane>,
@@ -130,40 +139,37 @@ pub struct CompiledCore {
 }
 
 impl CompiledCore {
-    /// A fresh core for `program`, planes initialised from its template.
+    /// A fresh core for `program`: zero planes except its constants.
     #[must_use]
     pub fn new(program: &CompiledProgram) -> Self {
-        CompiledCore {
-            planes: program.init.clone(),
+        let mut core = CompiledCore {
+            planes: Vec::new(),
             fetched: Box::new([[0.0; 4]; LANES]),
-        }
+        };
+        core.rebind(program);
+        core
     }
 
     /// Re-targets this core at a (possibly different) program, reusing
     /// the plane allocation where it fits. Behaviour afterwards is
     /// bit-identical to a fresh [`CompiledCore::new`]: the whole plane
-    /// file is re-seeded from the program's template, so no stale state
-    /// can leak across shader swaps.
+    /// file is re-seeded, so no stale state can leak across shader swaps.
     pub fn rebind(&mut self, program: &CompiledProgram) {
         self.planes.clear();
-        self.planes.extend_from_slice(&program.init);
+        self.planes.resize(program.planes, [0.0; LANES]);
+        for &(base, value) in &program.consts {
+            for (plane, component) in self.planes[base..base + 4].iter_mut().zip(value) {
+                *plane = [component; LANES];
+            }
+        }
     }
 }
 
 /// Appends a 4-plane slot to the file, pre-filled when `value` is a
 /// build-time constant, and returns its slot index.
-fn alloc(
-    init: &mut Vec<Plane>,
-    consts: &mut Vec<Option<[f32; 4]>>,
-    value: Option<[f32; 4]>,
-) -> usize {
-    let slot = consts.len();
+fn alloc(consts: &mut Vec<Option<[f32; 4]>>, value: Option<[f32; 4]>) -> usize {
     consts.push(value);
-    let v = value.unwrap_or([0.0; 4]);
-    for component in v {
-        init.push([component; LANES]);
-    }
-    slot
+    consts.len() - 1
 }
 
 /// Resolves the slot of `r`, defaulting to the always-zero slot for
@@ -245,12 +251,11 @@ enum SealedVal {
 fn materialise(
     d: Deferred,
     reg: Reg,
-    init: &mut Vec<Plane>,
     consts: &mut Vec<Option<[f32; 4]>>,
     slot_of: &mut [Option<usize>],
     steps: &mut Vec<Step>,
 ) {
-    let dst = alloc(init, consts, None) * 4;
+    let dst = alloc(consts, None) * 4;
     if let Some(entry) = slot_of.get_mut(reg.0 as usize) {
         *entry = Some(dst / 4);
     }
@@ -279,12 +284,11 @@ impl CompiledProgram {
         let widths = register_widths(shader);
         let nregs = shader.reg_count as usize;
         let mut slot_of: Vec<Option<usize>> = vec![None; nregs];
-        let mut init: Vec<Plane> = Vec::new();
         // Per-slot constant value, if the slot is a build-time constant.
         let mut consts: Vec<Option<[f32; 4]>> = Vec::new();
 
         // Slot 0: the always-zero slot.
-        alloc(&mut init, &mut consts, Some([0.0; 4]));
+        alloc(&mut consts, Some([0.0; 4]));
 
         let mut varying_bases = Vec::new();
         for input in &shader.inputs {
@@ -293,10 +297,10 @@ impl CompiledProgram {
                     let v = uniforms.get(&input.name).ok_or_else(|| {
                         ExecError::new(format!("uniform `{}` is not set", input.name))
                     })?;
-                    alloc(&mut init, &mut consts, Some(v))
+                    alloc(&mut consts, Some(v))
                 }
                 InputKind::Varying => {
-                    let s = alloc(&mut init, &mut consts, None);
+                    let s = alloc(&mut consts, None);
                     varying_bases.push(s * 4);
                     s
                 }
@@ -386,7 +390,7 @@ impl CompiledProgram {
                 }
                 let folded = eval_pure_op(&instr.op, &vals[..narg], &wbuf[..narg], instr.width)
                     .ok_or_else(|| ExecError::new("malformed instruction"))?;
-                let s = alloc(&mut init, &mut consts, Some(folded));
+                let s = alloc(&mut consts, Some(folded));
                 if let Some(entry) = slot_of.get_mut(instr.dst.0 as usize) {
                     *entry = Some(s);
                 }
@@ -433,14 +437,7 @@ impl CompiledProgram {
                             v_const,
                         }) => (u, v, u_const, v_const),
                         Some(other) => {
-                            materialise(
-                                other,
-                                coord,
-                                &mut init,
-                                &mut consts,
-                                &mut slot_of,
-                                &mut steps,
-                            );
+                            materialise(other, coord, &mut consts, &mut slot_of, &mut steps);
                             (
                                 rplane(&slot_of, coord, 0),
                                 rplane(&slot_of, coord, 1),
@@ -468,7 +465,7 @@ impl CompiledProgram {
                 ) {
                     deferred[instr.dst.0 as usize] = Some(Deferred::Fetch(rec));
                 } else {
-                    let dst = alloc(&mut init, &mut consts, None) * 4;
+                    let dst = alloc(&mut consts, None) * 4;
                     if let Some(entry) = slot_of.get_mut(instr.dst.0 as usize) {
                         *entry = Some(dst / 4);
                     }
@@ -569,7 +566,7 @@ impl CompiledProgram {
                         if affine {
                             deferred[instr.dst.0 as usize] = Some(Deferred::FetchDot(fd));
                         } else {
-                            let dst = alloc(&mut init, &mut consts, None) * 4;
+                            let dst = alloc(&mut consts, None) * 4;
                             if let Some(entry) = slot_of.get_mut(instr.dst.0 as usize) {
                                 *entry = Some(dst / 4);
                             }
@@ -625,7 +622,7 @@ impl CompiledProgram {
                             if feeds_mad {
                                 deferred[instr.dst.0 as usize] = Some(Deferred::Sealed(fd, bc));
                             } else {
-                                let dst = alloc(&mut init, &mut consts, None) * 4;
+                                let dst = alloc(&mut consts, None) * 4;
                                 if let Some(entry) = slot_of.get_mut(instr.dst.0 as usize) {
                                     *entry = Some(dst / 4);
                                 }
@@ -641,7 +638,6 @@ impl CompiledProgram {
                             materialise(
                                 Deferred::FetchDot(fd),
                                 instr.srcs[k],
-                                &mut init,
                                 &mut consts,
                                 &mut slot_of,
                                 &mut steps,
@@ -675,7 +671,6 @@ impl CompiledProgram {
                             materialise(
                                 other,
                                 instr.srcs[k],
-                                &mut init,
                                 &mut consts,
                                 &mut slot_of,
                                 &mut steps,
@@ -688,7 +683,7 @@ impl CompiledProgram {
                 let va = operand(0);
                 let vb = operand(1);
                 let acc = rplane(&slot_of, instr.srcs[2], 0);
-                let dst = alloc(&mut init, &mut consts, None) * 4;
+                let dst = alloc(&mut consts, None) * 4;
                 if let Some(entry) = slot_of.get_mut(instr.dst.0 as usize) {
                     *entry = Some(dst / 4);
                 }
@@ -734,7 +729,7 @@ impl CompiledProgram {
                             )
                         })
                         .collect();
-                    let dst = alloc(&mut init, &mut consts, None) * 4;
+                    let dst = alloc(&mut consts, None) * 4;
                     if let Some(entry) = slot_of.get_mut(instrs[end - 1].dst.0 as usize) {
                         *entry = Some(dst / 4);
                     }
@@ -749,7 +744,7 @@ impl CompiledProgram {
             // generic paths below would read it through the zero slot.
             for s in &instr.srcs {
                 if let Some(d) = deferred.get_mut(s.0 as usize).and_then(Option::take) {
-                    materialise(d, *s, &mut init, &mut consts, &mut slot_of, &mut steps);
+                    materialise(d, *s, &mut consts, &mut slot_of, &mut steps);
                 }
             }
 
@@ -764,7 +759,7 @@ impl CompiledProgram {
                 if let Some(m) = consts[slot_or_zero(&slot_of, instr.srcs[0])] {
                     let taken = if m[0] != 0.0 { 1 } else { 2 };
                     let pairs: Vec<(usize, usize)> = (0..w).map(|c| (c, b(taken, c))).collect();
-                    let dst = alloc(&mut init, &mut consts, None) * 4;
+                    let dst = alloc(&mut consts, None) * 4;
                     if let Some(entry) = slot_of.get_mut(instr.dst.0 as usize) {
                         *entry = Some(dst / 4);
                     }
@@ -777,7 +772,7 @@ impl CompiledProgram {
             let step = match instr.op {
                 // Folded above (no sources): a `Const` never reaches here.
                 Op::Const(v) => {
-                    let s = alloc(&mut init, &mut consts, Some(v));
+                    let s = alloc(&mut consts, Some(v));
                     if let Some(entry) = slot_of.get_mut(instr.dst.0 as usize) {
                         *entry = Some(s);
                     }
@@ -884,7 +879,7 @@ impl CompiledProgram {
                 }),
             };
 
-            let dst = alloc(&mut init, &mut consts, None) * 4;
+            let dst = alloc(&mut consts, None) * 4;
             if let Some(entry) = slot_of.get_mut(instr.dst.0 as usize) {
                 *entry = Some(dst / 4);
             }
@@ -895,7 +890,12 @@ impl CompiledProgram {
         let output_base = slot_or_zero(&slot_of, shader.output) * 4;
         Ok(CompiledProgram {
             steps,
-            init,
+            planes: consts.len() * 4,
+            consts: consts
+                .iter()
+                .enumerate()
+                .filter_map(|(slot, value)| value.map(|v| (slot * 4, v)))
+                .collect(),
             varying_bases,
             output_base,
         })
@@ -905,10 +905,10 @@ impl CompiledProgram {
     /// on `core` (which must have been built for — or last rebound to —
     /// this program).
     ///
-    /// The calling convention matches [`BatchCore::run`](crate::BatchCore):
-    /// `varyings` is slot-major with stride [`LANES`], `samplers` supplies
-    /// one implementation per texture unit, and lane `l`'s colour lands in
-    /// `out[l]`.
+    /// `varyings` is slot-major with stride [`LANES`] (the value of
+    /// varying slot `s` for lane `l` lives at `varyings[s * LANES + l]`),
+    /// `samplers` supplies one implementation per texture unit, and lane
+    /// `l`'s colour lands in `out[l]`.
     ///
     /// # Errors
     ///
@@ -923,7 +923,7 @@ impl CompiledProgram {
         samplers: &[&dyn Sampler],
         out: &mut [[f32; 4]],
     ) -> Result<(), ExecError> {
-        if core.planes.len() != self.init.len() {
+        if core.planes.len() != self.planes {
             return Err(ExecError::new(
                 "compiled core run with a program it was not bound to",
             ));
@@ -1683,18 +1683,40 @@ mod tests {
     }
 
     #[test]
-    fn validation_mirrors_the_batch_tier() {
+    fn validation_mirrors_the_scalar_tier() {
+        // Every input the scalar reference rejects, the compiled tier
+        // rejects too, with the same diagnosis where one is given.
         let sh = compile("void main() { gl_FragColor = vec4(1.0); }").unwrap();
         let program = CompiledProgram::build(&sh, &UniformValues::new()).unwrap();
         let mut core = CompiledCore::new(&program);
         let mut out = [[0.0f32; 4]; 1];
+        // Batch-shape errors have no scalar counterpart: empty and
+        // oversized batches, and an output buffer shorter than the batch.
         assert!(program.run(&mut core, &[], 0, &[], &mut out).is_err());
         assert!(program
             .run(&mut core, &[], LANES + 1, &[], &mut out)
             .is_err());
         assert!(program.run(&mut core, &[], 2, &[], &mut out).is_err());
         assert!(program.run(&mut core, &[], 1, &[], &mut out).is_ok());
+        assert!(Executor::new(&sh, &UniformValues::new())
+            .unwrap()
+            .run(&[], &[])
+            .is_ok());
 
+        // Missing varyings.
+        let vary =
+            compile("varying vec2 v; void main() { gl_FragColor = vec4(v, 0.0, 1.0); }").unwrap();
+        let vary_prog = CompiledProgram::build(&vary, &UniformValues::new()).unwrap();
+        let mut vary_core = CompiledCore::new(&vary_prog);
+        assert!(vary_prog
+            .run(&mut vary_core, &[], 1, &[], &mut out)
+            .is_err());
+        assert!(Executor::new(&vary, &UniformValues::new())
+            .unwrap()
+            .run(&[], &[])
+            .is_err());
+
+        // A texture unit with no sampler bound.
         let tex = compile(
             "uniform sampler2D t; varying vec2 v;\n\
              void main() { gl_FragColor = texture2D(t, v); }",
@@ -1707,9 +1729,23 @@ mod tests {
             .run(&mut tex_core, &varyings, 1, &[], &mut out)
             .unwrap_err();
         assert!(err.to_string().contains("no sampler bound"));
+        let err = Executor::new(&tex, &UniformValues::new())
+            .unwrap()
+            .run(&[[0.0; 4]], &[])
+            .unwrap_err();
+        assert!(err.to_string().contains("no sampler bound"));
 
+        // A declared uniform with no bound value.
         let missing = compile("uniform float u; void main() { gl_FragColor = vec4(u); }").unwrap();
         assert!(CompiledProgram::build(&missing, &UniformValues::new()).is_err());
+        assert!(Executor::new(&missing, &UniformValues::new()).is_err());
+
+        // A core run against a program it was not bound to.
+        assert!(tex_prog
+            .run(&mut core, &varyings, 1, &[], &mut out)
+            .is_err());
+        let mut scalar_core = crate::ExecCore::new(&sh, &UniformValues::new()).unwrap();
+        assert!(scalar_core.run(&tex, &[[0.0; 4]], &[]).is_err());
     }
 
     #[test]

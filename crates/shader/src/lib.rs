@@ -16,7 +16,10 @@
 //! * a **cost model** classifying texture fetches as streaming vs
 //!   dependent, feeding the TBDR timing simulator;
 //! * an **interpreter** executing kernels per fragment for functional
-//!   results.
+//!   results — the reference semantics;
+//! * a bind-time **lowering** ([`CompiledProgram`]) of the same kernels
+//!   into fused native closures that shade [`LANES`] fragments per call,
+//!   bit-identical to the interpreter.
 //!
 //! # Examples
 //!
@@ -47,7 +50,6 @@
 #![warn(clippy::expect_used)]
 
 pub mod ast;
-mod batch;
 pub mod compile;
 pub mod cost;
 mod error;
@@ -64,8 +66,7 @@ pub mod ir;
 mod token;
 mod vm;
 
-pub use batch::{BatchCore, BatchExecutor, LANES};
-pub use compile::{CompiledCore, CompiledProgram};
+pub use compile::{CompiledCore, CompiledProgram, LANES};
 pub use error::{render_error, CompileError, CompileErrorKind, ExecError};
 pub use fold::{const_eval, ConstVal};
 pub use limits::{check_limits, Limits};

@@ -1,10 +1,10 @@
 //! The differential test matrix: every workload family's GPU output
 //! compared against its CPU reference across fragment engines {scalar,
-//! batched, compiled} × both platforms × tile-skip {on, off}, under each
+//! compiled} × both platforms × tile-skip {on, off}, under each
 //! family's declared error policy — plus a cross-point byte-identity
 //! assertion that is independent of the CPU tolerance (engines are
 //! bit-exact and functional results are platform-invariant, so all
-//! twelve matrix points must produce the same bytes).
+//! eight matrix points must produce the same bytes).
 
 use mgpu_gles::{Engine, Gl};
 use mgpu_gpgpu::OptConfig;
@@ -14,7 +14,7 @@ use mgpu_workloads::{
     Workload,
 };
 
-const ENGINES: [Engine; 3] = [Engine::Scalar, Engine::Batched, Engine::Compiled];
+const ENGINES: [Engine; 2] = [Engine::Scalar, Engine::Compiled];
 
 fn platforms() -> [Platform; 2] {
     [Platform::videocore_iv(), Platform::sgx_545()]

@@ -3,8 +3,8 @@
 //! The tentpole guarantee: host-side threading and the fragment-engine
 //! tier are *purely* wall-clock knobs. For `sum` and blocked `sgemm`
 //! (block 16) on both platforms, running at 2, 4 and 8 threads — and on
-//! the scalar reference engine, the lane-batched SoA engine, or the
-//! compiled closure-chain engine — must produce output buffers
+//! the scalar reference engine or the compiled closure-chain engine —
+//! must produce output buffers
 //! byte-for-byte identical to the serial scalar path, and the
 //! simulated-time report must not change by a single tick.
 
@@ -108,7 +108,7 @@ fn sgemm_block_16_is_byte_identical_across_thread_counts() {
     }
 }
 
-/// The batched SoA engine reproduces the serial scalar reference exactly —
+/// The compiled engine reproduces the serial scalar reference exactly —
 /// pixels, result bits and the simulated-time report — at 1 and 4 threads
 /// on both platforms, for both kernels. Together with the thread tests
 /// this pins the full engine × threads matrix to one golden output.
@@ -118,7 +118,7 @@ fn engines_are_byte_identical_across_thread_counts() {
         let golden_sum = run_sum(&platform, ExecConfig::serial());
         let golden_sgemm = run_sgemm(&platform, ExecConfig::serial());
         for threads in [1, 4] {
-            for engine in [Engine::Scalar, Engine::Batched, Engine::Compiled] {
+            for engine in [Engine::Scalar, Engine::Compiled] {
                 let exec = ExecConfig::with_threads(threads).with_engine(engine);
                 assert_eq!(
                     run_sum(&platform, exec),
@@ -148,7 +148,7 @@ fn pooled_dispatch_matches_the_legacy_path_exactly() {
         let golden_sum = run_sum(&platform, ExecConfig::serial());
         let golden_sgemm = run_sgemm(&platform, ExecConfig::serial());
         for threads in [1, 2, 4, 8] {
-            for engine in [Engine::Scalar, Engine::Batched, Engine::Compiled] {
+            for engine in [Engine::Scalar, Engine::Compiled] {
                 for pool in [false, true] {
                     let exec = ExecConfig::with_threads(threads)
                         .with_engine(engine)
@@ -193,7 +193,7 @@ fn tile_skip_is_byte_identical_and_its_report_is_execution_invariant() {
         assert_eq!(skip_sgemm.result_bits, golden_sgemm.result_bits);
 
         for threads in [1, 4] {
-            for engine in [Engine::Scalar, Engine::Batched, Engine::Compiled] {
+            for engine in [Engine::Scalar, Engine::Compiled] {
                 for pool in [false, true] {
                     let exec = ExecConfig::with_threads(threads)
                         .with_engine(engine)
