@@ -19,7 +19,9 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use mgpu_shader::ir::Shader;
-use mgpu_shader::{compile_with, cost, CompileOptions, Limits, OptOptions, Sampler, UniformValues};
+use mgpu_shader::{
+    compile_with, cost, nearest_texel, CompileOptions, Limits, OptOptions, Sampler, UniformValues,
+};
 use mgpu_tbdr::{
     AllocKind, CopyOut, FragmentProfile, FragmentWork, FrameTiming, FrameWork, PipelineSim,
     Platform, RenderTarget, ResourceId, SimReport, SimTime, SkipWork, SyncOp, TileRect, Upload,
@@ -231,6 +233,27 @@ fn tile_texture_sigs(
         .collect()
 }
 
+/// `vec![0u8; len]` without the abort: `None` when the host cannot
+/// allocate `len` bytes. The zeroing comes from the allocator, as with
+/// `vec!`, so pages a context never renders to stay unmapped;
+/// `try_reserve_exact` + `resize` would write every byte up front (7.9 MiB
+/// more peak RSS for the two 1024x1024 surfaces of a context).
+fn try_zeroed(len: usize) -> Option<Vec<u8>> {
+    if len == 0 {
+        return Some(Vec::new());
+    }
+    let layout = std::alloc::Layout::array::<u8>(len).ok()?;
+    // SAFETY: `layout` has a non-zero size, as `alloc_zeroed` requires.
+    let ptr = unsafe { std::alloc::alloc_zeroed(layout) };
+    if ptr.is_null() {
+        return None;
+    }
+    // SAFETY: `ptr` is a global-allocator block of exactly `layout` (`len`
+    // bytes, align 1) and all of it is initialised (to zero), which is what
+    // a `Vec<u8>` of length and capacity `len` owns.
+    Some(unsafe { Vec::from_raw_parts(ptr, len, len) })
+}
+
 /// Filtering view over texture bytes (nearest or bilinear, clamp-to-edge).
 struct TexView<'a> {
     data: &'a [u8],
@@ -241,11 +264,19 @@ struct TexView<'a> {
 }
 
 impl TexView<'_> {
+    /// Texel `(x, y)`, clamped to the edge (the `Linear` filter's
+    /// neighbours may fall outside).
     #[inline]
     fn texel(&self, x: i64, y: i64) -> [f32; 4] {
         let x = x.clamp(0, i64::from(self.width) - 1);
         let y = y.clamp(0, i64::from(self.height) - 1);
-        let idx = (y as usize * self.width as usize + x as usize) * self.channels;
+        self.texel_at(x as usize, y as usize)
+    }
+
+    /// Texel `(x, y)` of an in-range index.
+    #[inline]
+    fn texel_at(&self, x: usize, y: usize) -> [f32; 4] {
+        let idx = (y * self.width as usize + x) * self.channels;
         let mut out = [0.0f32, 0.0, 0.0, 1.0];
         for (c, o) in out.iter_mut().enumerate().take(self.channels.min(4)) {
             *o = mgpu_shader::u8_to_unorm(self.data[idx + c]);
@@ -258,7 +289,10 @@ impl TexView<'_> {
     /// path so the conversions happen once per batch, not once per lane.
     #[inline]
     fn fetch_nearest_scaled(&self, u: f32, v: f32, wf: f32, hf: f32) -> [f32; 4] {
-        self.texel((u * wf).floor() as i64, (v * hf).floor() as i64)
+        self.texel_at(
+            nearest_texel(u * wf, self.width),
+            nearest_texel(v * hf, self.height),
+        )
     }
 }
 
@@ -314,12 +348,9 @@ impl Sampler for TexView<'_> {
             TextureFilter::Nearest => {
                 // Row term resolved once: `(y*w + x) == (row + x)` exactly.
                 let (wf, hf) = (self.width as f32, self.height as f32);
-                let y = ((v * hf).floor() as i64).clamp(0, i64::from(self.height) - 1);
+                let y = nearest_texel(v * hf, self.height);
                 for (o, u) in out.iter_mut().zip(us) {
-                    *o = self.texel(
-                        ((*u * wf).floor() as i64).clamp(0, i64::from(self.width) - 1),
-                        y,
-                    );
+                    *o = self.texel_at(nearest_texel(*u * wf, self.width), y);
                 }
             }
             TextureFilter::Linear => {
@@ -440,8 +471,9 @@ impl Gl {
     ///
     /// Panics if any `MGPU_*` environment knob holds an invalid value
     /// (`MGPU_ENGINE=typo`, `MGPU_THREADS=0`, a malformed `MGPU_FAULTS`
-    /// spec, …). Use [`Gl::try_new`] to surface that as a typed
-    /// [`GlError::InvalidEnv`] instead.
+    /// spec, …), if the `width * height * 4`-byte surface size exceeds
+    /// `isize::MAX`, or if the host cannot allocate the surfaces. Use
+    /// [`Gl::try_new`] to get those as typed errors instead.
     #[must_use]
     pub fn new(platform: Platform, width: u32, height: u32) -> Self {
         match Gl::try_new(platform, width, height) {
@@ -459,13 +491,29 @@ impl Gl {
     /// # Errors
     ///
     /// Returns [`GlError::InvalidEnv`] when any `MGPU_*` knob fails to
-    /// parse.
+    /// parse, [`GlError::InvalidValue`] when the surface size
+    /// `width * height * 4` exceeds `isize::MAX` bytes, and
+    /// [`GlError::OutOfMemory`] when the host cannot allocate the surfaces.
     pub fn try_new(platform: Platform, width: u32, height: u32) -> Result<Self, GlError> {
         let exec = ExecConfig::try_from_env()?;
         let env_faults = crate::exec::env_fault_plan()?;
+        // A `Vec` holds at most `isize::MAX` bytes.
+        let bytes = (width as usize)
+            .checked_mul(height as usize)
+            .and_then(|px| px.checked_mul(4))
+            .filter(|&bytes| isize::try_from(bytes).is_ok())
+            .ok_or_else(|| {
+                GlError::InvalidValue(format!(
+                    "surface {width}x{height}x4 overflows the address space"
+                ))
+            })?;
         let surfaces = (0..platform.framebuffer_surfaces.max(1))
-            .map(|_| vec![0u8; width as usize * height as usize * 4])
-            .collect();
+            .map(|_| {
+                try_zeroed(bytes).ok_or_else(|| {
+                    GlError::OutOfMemory(format!("surface of {bytes} bytes: allocation failed"))
+                })
+            })
+            .collect::<Result<_, GlError>>()?;
         let swap_interval = platform.default_swap_interval;
         Ok(Gl {
             sim: PipelineSim::new(platform.clone()),

@@ -31,7 +31,8 @@
 //! participant has finished the job: the caller participates as seat 0,
 //! then blocks on the `done` condvar until `remaining == 0`. No worker can
 //! touch the pointer after `run` returns, so the pointee outlives every
-//! dereference. The only `unsafe` in the workspace lives in this module:
+//! dereference. Apart from the fallible zeroed surface allocation in
+//! `context.rs`, the only `unsafe` in the workspace lives in this module:
 //! the lifetime-erasing transmute in [`WorkerPool::run`], the worker's
 //! dereference of the erased pointer, and the `Send` impl shipping it —
 //! all three legs of that one argument.

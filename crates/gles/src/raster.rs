@@ -988,9 +988,12 @@ pub(crate) fn execute_plan_rect(
 
 /// Converts a raw fragment colour to RGBA8 exactly as the fixed-function
 /// output stage does: clamp to [0, 1], scale by 255, round to nearest.
+///
+/// The cast truncates, which is `floor` here without the libm call: the
+/// operand lies in [0.5, 255.5], and NaN maps to 0 either way.
 #[must_use]
 pub fn quantize_rgba8(rgba: [f32; 4]) -> [u8; 4] {
-    let q = |x: f32| (x.clamp(0.0, 1.0) * 255.0 + 0.5).floor() as u8;
+    let q = |x: f32| (x.clamp(0.0, 1.0) * 255.0 + 0.5) as u8;
     [q(rgba[0]), q(rgba[1]), q(rgba[2]), q(rgba[3])]
 }
 
@@ -1595,5 +1598,48 @@ mod tests {
         // 1/255 quantum round-trips exactly.
         let x = 37.0 / 255.0;
         assert_eq!(quantize_rgba8([x, x, x, x]), [37, 37, 37, 37]);
+    }
+
+    /// The libm-rounded quantisation that `quantize_rgba8` replaces.
+    fn quantize_floor(x: f32) -> u8 {
+        (x.clamp(0.0, 1.0) * 255.0 + 0.5).floor() as u8
+    }
+
+    fn assert_quantize_exact(xs: impl Iterator<Item = f32>) {
+        for x in xs {
+            let old = quantize_floor(x);
+            assert_eq!(
+                quantize_rgba8([x; 4]),
+                [old; 4],
+                "{x:e} [{:#010x}]",
+                x.to_bits()
+            );
+        }
+    }
+
+    /// Each byte's rounding boundary `(k - 0.5) / 255`, a few ulps either
+    /// side.
+    fn quantize_edges() -> impl Iterator<Item = f32> {
+        (0..=256u16).flat_map(|k| {
+            let edge = (f32::from(k) - 0.5) / 255.0;
+            let lo = edge.next_down().next_down().next_down();
+            std::iter::successors(Some(lo), |x| Some(x.next_up())).take(7)
+        })
+    }
+
+    #[test]
+    fn quantize_rgba8_is_floor_quantisation_on_rounding_edges() {
+        assert_quantize_exact(mgpu_prop::f32_rounding_edges());
+        assert_quantize_exact(mgpu_prop::f32_bit_stride());
+        assert_quantize_exact(quantize_edges());
+    }
+
+    /// The proof behind `quantize_rgba8`'s truncating cast: every one of
+    /// the 2^32 f32 bit patterns. About half a minute in release; CI runs
+    /// it.
+    #[test]
+    #[ignore = "exhaustive: run in release with --ignored"]
+    fn exhaustive_quantize_rgba8_is_floor_quantisation() {
+        assert_quantize_exact((0..=u32::MAX).map(f32::from_bits));
     }
 }

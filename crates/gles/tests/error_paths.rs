@@ -151,3 +151,25 @@ fn oversized_texture_storage_is_invalid_value_and_leaves_the_texture_intact() {
     }
     assert_still_usable(&mut gl);
 }
+
+#[test]
+fn oversized_surface_is_a_typed_error_not_a_panic() {
+    // `u32::MAX` squared times four overflows `usize`; `1<<31` by `1<<30`
+    // fits at `2^63` bytes, past `isize::MAX`.
+    for (w, h) in [(u32::MAX, u32::MAX), (1u32 << 31, 1u32 << 30)] {
+        let err = Gl::try_new(Platform::videocore_iv(), w, h).err().unwrap();
+        assert!(matches!(err, GlError::InvalidValue(_)), "{w}x{h}: {err}");
+    }
+    // `2^62` bytes is a valid size no address space can map.
+    let err = Gl::try_new(Platform::videocore_iv(), 1 << 31, 1 << 29)
+        .err()
+        .unwrap();
+    assert!(matches!(err, GlError::OutOfMemory(_)), "{err}");
+    // 4 TiB: refused by the allocator under Linux's default heuristic
+    // overcommit; a host that overcommits always maps it lazily instead.
+    match Gl::try_new(Platform::videocore_iv(), 1 << 20, 1 << 20) {
+        Ok(_) | Err(GlError::OutOfMemory(_)) => {}
+        Err(e) => panic!("1<<20 x 1<<20: {e}"),
+    }
+    assert_still_usable(&mut gl_with_threads(1));
+}

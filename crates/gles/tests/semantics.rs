@@ -1,6 +1,8 @@
 //! GLES2 semantics and error-path coverage beyond the happy path.
 
-use mgpu_gles::{BufferUsage, DrawQuad, Gl, GlError, TextureFormat, VertexSource};
+use mgpu_gles::{
+    BufferUsage, DrawQuad, Engine, ExecConfig, Gl, GlError, TextureFormat, VertexSource,
+};
 use mgpu_tbdr::{Platform, SimTime, SyncOp};
 
 const COORD_PROG: &str = "
@@ -305,4 +307,57 @@ fn linear_filtering_clamps_at_edges() {
     gl.draw_quad(&DrawQuad::fullscreen()).unwrap();
     // u=0.0 is half a texel left of the first centre: clamps to texel 0.
     assert_eq!(gl.read_pixels().unwrap()[0], 10);
+}
+
+/// Nearest sampling through a draw (the context's own texture view) at
+/// the clamp edges. On an 8x8 target the fragment centres are
+/// `(2i + 1) / 16`, so `c * 2 - 0.625` lands every fragment of a 4-texel
+/// axis exactly on a texel edge from -2 to 5: below 0, on every interior
+/// edge, and at and beyond the size. Biases one ulp either side nudge
+/// the coordinates just off their edges (or, where the sum rounds, back
+/// onto them; the expected texel uses the same f32 arithmetic). Each
+/// fragment must read the texel at
+/// `clamp(floor(u * 4))`, on both engines and both texel formats.
+#[test]
+fn nearest_sampling_clamps_at_texel_edges() {
+    const PROG: &str = "
+        uniform sampler2D u_t;
+        uniform float u_bias;
+        varying vec2 v_coord;
+        void main() { gl_FragColor = texture2D(u_t, v_coord * 2.0 + u_bias); }
+    ";
+    let at = |frag: usize, bias: f32| {
+        let c = (frag as f32 * 2.0 + 1.0) / 16.0;
+        ((c * 2.0 + bias) * 4.0).floor().clamp(0.0, 3.0) as usize
+    };
+    for format in [TextureFormat::Rgba8, TextureFormat::Rgb8] {
+        let ch = format.channels();
+        let data: Vec<u8> = (0..16 * ch).map(|i| (i * 16 + 3) as u8).collect();
+        for engine in [Engine::Scalar, Engine::Compiled] {
+            let mut gl = Gl::new(Platform::videocore_iv(), 8, 8);
+            gl.set_exec_config(ExecConfig::serial().with_engine(engine));
+            let prog = gl.create_program(PROG).unwrap();
+            let tex = gl.create_texture();
+            gl.tex_image_2d(tex, 4, 4, format, Some(&data)).unwrap();
+            gl.bind_texture(0, Some(tex)).unwrap();
+            gl.use_program(Some(prog)).unwrap();
+            for bias in [-0.625f32, (-0.625f32).next_down(), (-0.625f32).next_up()] {
+                gl.set_uniform_scalar(prog, "u_bias", bias).unwrap();
+                gl.clear([0.0; 4]).unwrap();
+                gl.draw_quad(&DrawQuad::fullscreen()).unwrap();
+                let px = gl.read_pixels().unwrap();
+                for y in 0..8 {
+                    for x in 0..8 {
+                        let texel = (at(y, bias) * 4 + at(x, bias)) * ch;
+                        let got = &px[(y * 8 + x) * 4..][..ch];
+                        assert_eq!(
+                            got,
+                            &data[texel..texel + ch],
+                            "{format:?} {engine:?} bias {bias:e} fragment ({x}, {y})"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

@@ -184,6 +184,68 @@ pub fn run_cases(cases: u64, mut f: impl FnMut(&mut Rng)) {
     }
 }
 
+/// f32 values where rounding code tends to go wrong: both zeros, the
+/// subnormal extremes, one ulp either side of small integers and halves,
+/// the 2^23 and 2^24 neighbourhoods (where every f32 becomes an integer,
+/// then an even one), the `i32` limits, `f32::MAX`, both infinities, and
+/// quiet and signalling NaNs with payloads. Short enough to pick from.
+#[must_use]
+pub fn f32_specials() -> Vec<f32> {
+    let mut out = vec![
+        f32::MIN_POSITIVE,
+        f32::from_bits(1),
+        f32::from_bits(0x007F_FFFF),
+        f32::MAX,
+        f32::INFINITY,
+        i32::MAX as f32,
+    ];
+    for k in -8..=8 {
+        let x = k as f32 * 0.5;
+        out.extend([x.next_down(), x, x.next_up()]);
+    }
+    for base in [8_388_608.0f32, 16_777_216.0, 2_147_483_648.0] {
+        let lo = (0..4).fold(base, |x, _| x.next_down());
+        out.extend(std::iter::successors(Some(lo), |x| Some(x.next_up())).take(9));
+    }
+    // Both signs of everything so far; this is where `-0.0` comes from.
+    out.extend(out.clone().into_iter().map(|x| -x));
+    for bits in [
+        0x7FC0_0000u32,
+        0x7FC0_0001,
+        0x7FA0_0000,
+        0x7F80_0001,
+        0x7FFF_FFFF,
+    ] {
+        out.extend([f32::from_bits(bits), f32::from_bits(bits | 0x8000_0000)]);
+    }
+    out
+}
+
+/// [`f32_specials`] followed by every integer of magnitude up to 2^24
+/// with its neighbours one ulp either side: about 10^8 values, so an
+/// iterator.
+pub fn f32_rounding_edges() -> impl Iterator<Item = f32> {
+    f32_specials()
+        .into_iter()
+        .chain((0..=1u32 << 24).flat_map(|k| {
+            let x = k as f32;
+            [
+                x.next_down(),
+                x,
+                x.next_up(),
+                -x.next_down(),
+                -x,
+                -x.next_up(),
+            ]
+        }))
+}
+
+/// 65 536 f32 bit patterns spread evenly over all 2^32 (stride 65 537),
+/// so every exponent, both signs and a spread of mantissas appear.
+pub fn f32_bit_stride() -> impl Iterator<Item = f32> {
+    (0..1u32 << 16).map(|i| f32::from_bits(i.wrapping_mul(65_537)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -54,6 +54,16 @@
 //!    chain whose shape ultimately does not match is *materialised* — the
 //!    deferred steps are emitted individually — so partial matches fall
 //!    back to the unfused lowering instead of miscompiling.
+//! 7. **Rounding without libm.** `Floor`, `Fract` and `ModOp` round
+//!    through `floor_f32`, never through `f32::floor`: on the x86-64
+//!    baseline that is a call into libm's `floorf`, and the kernels'
+//!    `fract` packing cascade made those calls a large share of each
+//!    fragment. (Texel addressing, shared with the scalar tier through
+//!    the samplers, truncates in `nearest_texel` for the same reason.)
+//!    Both are `floor` bit for bit; the exhaustive sweeps over all 2^32
+//!    f32 patterns in this crate's tests are the proof. The scalar tier
+//!    and constant folding keep `f32::floor`, so every compiled-vs-scalar
+//!    oracle checks `floor_f32` too.
 //!
 //! The contract is strict bit-identity: for every lane, every step
 //! evaluates exactly the f32 expressions of the scalar reference — same
@@ -74,7 +84,8 @@ use crate::ir::{CmpOp, InputKind, Op, Reg, Shader};
 use std::sync::Arc;
 
 use crate::vm::{
-    eval_pure_op, register_widths, truncate_to_24bit, u8_to_unorm, Sampler, UniformValues,
+    eval_pure_op, nearest_texel, register_widths, truncate_to_24bit, u8_to_unorm, Sampler,
+    UniformValues,
 };
 
 /// Number of fragments evaluated per batch.
@@ -787,7 +798,7 @@ impl CompiledProgram {
                 Op::Div => binary_step(bcomp(0), bcomp(1), w, |a, b| a / b),
                 Op::Min => binary_step(bcomp(0), bcomp(1), w, |a, b| a.min(b)),
                 Op::Max => binary_step(bcomp(0), bcomp(1), w, |a, b| a.max(b)),
-                Op::ModOp => binary_step(bcomp(0), bcomp(1), w, |a, b| a - b * (a / b).floor()),
+                Op::ModOp => binary_step(bcomp(0), bcomp(1), w, |a, b| a - b * floor_f32(a / b)),
                 Op::Pow => binary_step(bcomp(0), bcomp(1), w, |a, b| a.powf(b)),
                 Op::Step => {
                     binary_step(bcomp(0), bcomp(1), w, |a, b| if b < a { 0.0 } else { 1.0 })
@@ -804,8 +815,8 @@ impl CompiledProgram {
                 Op::Clamp => ternary_step(bcomp(0), bcomp(1), bcomp(2), w, |x, lo, hi| {
                     x.max(lo).min(hi)
                 }),
-                Op::Floor => unary_step(bcomp(0), w, |x| x.floor()),
-                Op::Fract => unary_step(bcomp(0), w, |x| x - x.floor()),
+                Op::Floor => unary_step(bcomp(0), w, floor_f32),
+                Op::Fract => unary_step(bcomp(0), w, |x| x - floor_f32(x)),
                 Op::Abs => unary_step(bcomp(0), w, |x| x.abs()),
                 Op::Sqrt => unary_step(bcomp(0), w, |x| x.sqrt()),
                 Op::Sin => unary_step(bcomp(0), w, |x| x.sin()),
@@ -1018,6 +1029,23 @@ impl PendingStep {
     }
 }
 
+/// `x.floor()`, bit for bit, without the libm call: on the x86-64
+/// baseline `f32::floor` is a call into `floorf`, and `Floor`, `Fract` and
+/// `ModOp` are the kernels' per-fragment packing arithmetic. Below 2^23 in
+/// magnitude truncation plus a one-step correction is exact (`copysign`
+/// keeps `-0.0`); from 2^23 on every f32 is already integral, and NaN and
+/// ±inf fail the range test, so both go to `f32::floor`.
+#[inline]
+fn floor_f32(x: f32) -> f32 {
+    if x.abs() < 8_388_608.0 {
+        let t = x as i32 as f32;
+        let t = if t > x { t - 1.0 } else { t };
+        t.copysign(x)
+    } else {
+        x.floor()
+    }
+}
+
 /// Component-wise unary step over broadcast-resolved planes.
 fn unary_step(a: [usize; 4], w: usize, f: fn(f32) -> f32) -> PendingStep {
     PendingStep::Unary(a, w, f)
@@ -1193,8 +1221,6 @@ fn eval_fetch_dot(
     // same order, so the same bits, without the AoS staging round trip.
     if let Some((bytes, w, h)) = sampler.raw_rgba8() {
         let (wf, hf) = (w as f32, h as f32);
-        let xmax = i64::from(w) - 1;
-        let ymax = i64::from(h) - 1;
         let gather = |x: usize, y: usize| -> f32 {
             let idx = (y * w as usize + x) * 4;
             let t = &bytes[idx..idx + 4];
@@ -1207,8 +1233,8 @@ fn eval_fetch_dot(
                 None => acc,
             }
         };
-        let xat = |u: f32| ((u * wf).floor() as i64).clamp(0, xmax) as usize;
-        let yat = |v: f32| ((v * hf).floor() as i64).clamp(0, ymax) as usize;
+        let xat = |u: f32| nearest_texel(u * wf, w);
+        let yat = |v: f32| nearest_texel(v * hf, h);
         if u_uniform {
             out[..n].fill(gather(xat(us[0]), yat(vs[0])));
         } else if v_uniform {
@@ -1770,5 +1796,34 @@ mod tests {
         program.run(&mut core, &varyings, 2, &[], &mut out).unwrap();
         assert_eq!(out[0], [0.25, 0.5, 0.75, 1.0]);
         assert_eq!(out[1], [0.75, 0.1, 0.85, 1.0]);
+    }
+
+    /// `floor_f32` must be `f32::floor` bit for bit (`Fract` and `ModOp`
+    /// then match the scalar tier's expressions too, since they only wrap
+    /// the floor). NaN inputs take the `f32::floor` fallback, so even
+    /// their payloads agree.
+    fn assert_floor_exact(xs: impl Iterator<Item = f32>) {
+        for x in xs {
+            assert_eq!(
+                floor_f32(x).to_bits(),
+                x.floor().to_bits(),
+                "floor_f32({x:e}) [{:#010x}]",
+                x.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn floor_f32_is_floor_on_rounding_edges() {
+        assert_floor_exact(mgpu_prop::f32_rounding_edges());
+        assert_floor_exact(mgpu_prop::f32_bit_stride());
+    }
+
+    /// The proof behind `floor_f32`: every one of the 2^32 f32 bit
+    /// patterns. About half a minute in release; CI runs it.
+    #[test]
+    #[ignore = "exhaustive: run in release with --ignored"]
+    fn exhaustive_floor_f32_is_floor() {
+        assert_floor_exact((0..=u32::MAX).map(f32::from_bits));
     }
 }

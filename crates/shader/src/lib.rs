@@ -74,7 +74,8 @@ pub use lower::{lower, MAX_UNROLL_ITERATIONS};
 pub use opt::{optimize, specialize, OptOptions};
 pub use parser::parse;
 pub use vm::{
-    truncate_to_24bit, u8_to_unorm, ExecCore, Executor, ImageSampler, Sampler, UniformValues,
+    nearest_texel, truncate_to_24bit, u8_to_unorm, ExecCore, Executor, ImageSampler, Sampler,
+    UniformValues,
 };
 
 use ir::Shader;

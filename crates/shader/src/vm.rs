@@ -27,6 +27,23 @@ pub fn u8_to_unorm(x: u8) -> f32 {
     U8_TO_UNORM[x as usize]
 }
 
+/// Nearest-sampling texel index along one axis of `size` texels, with
+/// clamp-to-edge: `coord` is the normalised coordinate already scaled by
+/// the size (`u * width as f32`).
+///
+/// Truncation stands in for `floor` exactly: the two agree for
+/// `coord >= 0`; on (-1, 0) floor gives -1 and truncation 0, and both
+/// clamp to 0; NaN casts to 0 and ±inf saturates either way.
+///
+/// # Panics
+///
+/// Panics if `size` is 0.
+#[must_use]
+#[inline]
+pub fn nearest_texel(coord: f32, size: u32) -> usize {
+    (coord as i64).clamp(0, i64::from(size) - 1) as usize
+}
+
 /// Provides texel data for one bound texture unit.
 ///
 /// Coordinates are normalised (`[0, 1]`); implementations choose their own
@@ -65,7 +82,8 @@ pub trait Sampler: Sync {
     /// Exposes the raw RGBA8 texel data as `(bytes, width, height)` when
     /// this sampler is a plain nearest/clamp image whose [`Sampler::fetch`]
     /// is exactly `u8_to_unorm` over `bytes[(y*width + x)*4..][..4]` with
-    /// `x = clamp(floor(u*width))`, `y = clamp(floor(v*height))`. Fused
+    /// `x = nearest_texel(u * width as f32, width)` and `y` likewise
+    /// (clamp-to-edge of `floor(u*width)`). Fused
     /// execution tiers use this to gather texels without the AoS staging
     /// round trip; returning `None` (the default) keeps them on the
     /// virtual fetch path.
@@ -123,9 +141,9 @@ impl ImageSampler {
     /// `wf`/`hf` must equal `self.width as f32`/`self.height as f32`.
     #[inline]
     fn fetch_scaled(&self, u: f32, v: f32, wf: f32, hf: f32) -> [f32; 4] {
-        let x = ((u * wf).floor() as i64).clamp(0, i64::from(self.width) - 1);
-        let y = ((v * hf).floor() as i64).clamp(0, i64::from(self.height) - 1);
-        let idx = (y as usize * self.width as usize + x as usize) * 4;
+        let x = nearest_texel(u * wf, self.width);
+        let y = nearest_texel(v * hf, self.height);
+        let idx = (y * self.width as usize + x) * 4;
         let t = &self.data[idx..idx + 4];
         [
             u8_to_unorm(t[0]),
@@ -154,15 +172,12 @@ impl Sampler for ImageSampler {
     }
 
     fn fetch_row_batch(&self, us: &[f32], v: f32, out: &mut [[f32; 4]]) {
-        // Same floor/clamp/index arithmetic as `fetch_scaled`, with the
-        // row term resolved once: `(y*w + x)*4 == (row + x)*4` exactly.
+        // Same texel/index arithmetic as `fetch_scaled`, with the row term
+        // resolved once: `(y*w + x)*4 == (row + x)*4` exactly.
         let (wf, hf) = (self.width as f32, self.height as f32);
-        let y = ((v * hf).floor() as i64).clamp(0, i64::from(self.height) - 1);
-        let row = y as usize * self.width as usize;
-        let xmax = i64::from(self.width) - 1;
+        let row = nearest_texel(v * hf, self.height) * self.width as usize;
         for (o, u) in out.iter_mut().zip(us) {
-            let x = ((*u * wf).floor() as i64).clamp(0, xmax);
-            let idx = (row + x as usize) * 4;
+            let idx = (row + nearest_texel(*u * wf, self.width)) * 4;
             let t = &self.data[idx..idx + 4];
             *o = [
                 u8_to_unorm(t[0]),
@@ -867,5 +882,62 @@ mod tests {
         let mut ex = Executor::new(&sh, &UniformValues::new()).unwrap();
         let out = ex.run(&[[2.0, 3.0, 0.0, 0.0]], &[]).unwrap();
         assert_eq!(out, [4.0, 6.0, 2.0, 2.0]);
+    }
+
+    /// The clamp-to-edge floor that `nearest_texel` replaces.
+    fn floor_clamp(coord: f32, size: u32) -> usize {
+        (coord.floor() as i64).clamp(0, i64::from(size) - 1) as usize
+    }
+
+    fn assert_nearest_exact(size: u32, coords: impl Iterator<Item = f32>) {
+        for c in coords {
+            assert_eq!(
+                nearest_texel(c, size),
+                floor_clamp(c, size),
+                "nearest_texel({c:e} [{:#010x}], {size})",
+                c.to_bits()
+            );
+        }
+    }
+
+    /// Texel edges of a `size`-texel axis, one ulp either side: just
+    /// below 0, the first and last few edges, and at and above `size`.
+    fn texel_edges(size: u32) -> impl Iterator<Item = f32> {
+        let size = i64::from(size);
+        (-2..=3)
+            .chain(size - 2..=size + 2)
+            .flat_map(|k| {
+                let x = k as f32;
+                [x.next_down(), x, x.next_up(), x + 0.5]
+            })
+            .chain([-0.5, -f32::MIN_POSITIVE])
+    }
+
+    #[test]
+    fn nearest_texel_is_floor_clamp_on_rounding_edges() {
+        assert_nearest_exact(1024, mgpu_prop::f32_rounding_edges());
+        for size in [1, 2, 3, 7, 256, 1024, 4096, 1 << 24, u32::MAX] {
+            assert_nearest_exact(size, texel_edges(size));
+            assert_nearest_exact(size, mgpu_prop::f32_specials().into_iter());
+            assert_nearest_exact(size, mgpu_prop::f32_bit_stride());
+        }
+    }
+
+    /// The proof behind `nearest_texel`: every one of the 2^32 f32 bit
+    /// patterns, on a one-texel, an even and an odd axis. About half a
+    /// minute in release; CI runs it.
+    #[test]
+    #[ignore = "exhaustive: run in release with --ignored"]
+    fn exhaustive_nearest_texel_is_floor_clamp() {
+        for bits in 0..=u32::MAX {
+            let c = f32::from_bits(bits);
+            for size in [1, 1024, 4095] {
+                assert_eq!(
+                    nearest_texel(c, size),
+                    floor_clamp(c, size),
+                    "{bits:#010x}, {size}"
+                );
+            }
+        }
     }
 }

@@ -17,8 +17,8 @@
 use mgpu_prop::{run_cases, Rng};
 use mgpu_shader::ir::Shader;
 use mgpu_shader::{
-    compile, specialize, CompiledCore, CompiledProgram, Executor, ImageSampler, Sampler,
-    UniformValues, LANES,
+    compile, specialize, u8_to_unorm, CompiledCore, CompiledProgram, Executor, ImageSampler,
+    Sampler, UniformValues, LANES,
 };
 
 /// A random expression over the varyings `v.x`/`v.y`, the uniforms
@@ -157,23 +157,29 @@ fn random_uniforms(rng: &mut Rng) -> UniformValues {
     uniforms
 }
 
-/// Runs `shader` over `n` random fragments (one vec2 varying) on both the
-/// scalar and compiled engines and asserts bitwise-identical colours.
+/// `n` random fragments of one vec2 varying, each component drawn by
+/// `component`.
+fn random_varyings(rng: &mut Rng, n: usize, component: impl Fn(&mut Rng) -> f32) -> Vec<[f32; 4]> {
+    (0..n)
+        .map(|_| [component(rng), component(rng), 0.0, 0.0])
+        .collect()
+}
+
+/// Runs `shader` over one batch of fragments (one vec2 varying each, at
+/// most `LANES`) on both the scalar and compiled engines and asserts
+/// bitwise-identical colours.
 fn assert_engines_agree(
     shader: &Shader,
     uniforms: &UniformValues,
-    rng: &mut Rng,
-    n: usize,
+    frag_varyings: &[[f32; 4]],
     samplers: &[&dyn Sampler],
     src: &str,
 ) {
-    let frag_varyings: Vec<[f32; 4]> = (0..n)
-        .map(|_| [awkward_f32(rng), awkward_f32(rng), 0.0, 0.0])
-        .collect();
+    let n = frag_varyings.len();
     // Slot-major layout with stride LANES, as CompiledProgram::run
     // expects (these kernels use a single varying slot).
     let mut batch_varyings = vec![[0.0f32; 4]; LANES];
-    batch_varyings[..n].copy_from_slice(&frag_varyings);
+    batch_varyings[..n].copy_from_slice(frag_varyings);
 
     let mut scalar = Executor::new(shader, uniforms).expect("scalar binds");
     let program = CompiledProgram::build(shader, uniforms).expect("compiled builds");
@@ -212,7 +218,8 @@ fn compiled_engine_matches_scalar_reference() {
             2 => LANES - 1,
             _ => rng.usize_in(1, LANES + 1),
         };
-        assert_engines_agree(&shader, &uniforms, rng, n, &[], &src);
+        let varyings = random_varyings(rng, n, awkward_f32);
+        assert_engines_agree(&shader, &uniforms, &varyings, &[], &src);
     });
 }
 
@@ -240,7 +247,8 @@ fn compiled_texture_sampling_matches_scalar() {
         let sampler = ImageSampler::new(w, h, data);
         let uniforms = random_uniforms(rng);
         let n = rng.usize_in(1, LANES + 1);
-        assert_engines_agree(&shader, &uniforms, rng, n, &[&sampler], src);
+        let varyings = random_varyings(rng, n, awkward_f32);
+        assert_engines_agree(&shader, &uniforms, &varyings, &[&sampler], src);
     });
 }
 
@@ -277,6 +285,124 @@ fn specialisation_preserves_bits_on_random_kernels() {
             );
         }
         // The compiled tier lowers the specialised kernel to the same bits.
-        assert_engines_agree(&special, &uniforms, rng, 8, &[], &src);
+        let varyings = random_varyings(rng, 8, awkward_f32);
+        assert_engines_agree(&special, &uniforms, &varyings, &[], &src);
     });
+}
+
+/// A random tree of the rounding operators (`floor`, `fract`, `mod`) over
+/// the varyings, `k` and literals up to 2^23, with products to carry
+/// values across integer and exponent boundaries.
+fn gen_rounding(rng: &mut Rng, depth: u32) -> Node {
+    let choice = if depth == 0 {
+        rng.u32_in(0, 4)
+    } else {
+        rng.u32_in(0, 11)
+    };
+    let sub = |rng: &mut Rng| Box::new(gen_rounding(rng, depth - 1));
+    match choice {
+        0 => Node::X,
+        1 => Node::Y,
+        2 => Node::K,
+        3 => Node::Lit(*rng.pick(&[0.5, 1.0, 3.0, 255.0, 256.0, 8_388_608.0])),
+        4 | 5 => Node::Fract(sub(rng)),
+        6 | 7 => Node::Floor(sub(rng)),
+        8 => Node::Mod(sub(rng), sub(rng)),
+        9 => Node::Mul(sub(rng), sub(rng)),
+        _ => Node::Neg(sub(rng)),
+    }
+}
+
+/// The compiled tier's libm-free `floor`/`fract`/`mod` agree with the
+/// scalar tier's `f32::floor` on the inputs where rounding goes wrong:
+/// negatives, `-0.0`, integers and halves ± 1 ulp, the 2^23 and 2^24
+/// neighbourhoods, ±inf and NaNs.
+#[test]
+fn rounding_kernels_match_scalar_on_adversarial_varyings() {
+    let specials = mgpu_prop::f32_specials();
+    let component = |rng: &mut Rng| match rng.u32_in(0, 4) {
+        0 => rng.f32(-16_777_216.0, 16_777_216.0),
+        1 => rng.f32(-4.0, 4.0),
+        _ => *rng.pick(&specials),
+    };
+    run_cases(192, |rng| {
+        let exprs: Vec<String> = (0..4).map(|_| gen_rounding(rng, 3).render()).collect();
+        let src = format!(
+            "uniform float k;\nvarying vec2 v;\nvoid main() {{ gl_FragColor = vec4({}); }}",
+            exprs.join(", ")
+        );
+        let shader = compile(&src).expect("generated kernel compiles");
+        let mut uniforms = UniformValues::new();
+        uniforms.set_scalar("k", component(rng));
+        let n = rng.usize_in(1, LANES + 1);
+        let varyings = random_varyings(rng, n, component);
+        assert_engines_agree(&shader, &uniforms, &varyings, &[], &src);
+    });
+}
+
+/// Coordinates along a `size`-texel axis at the clamp edges: just below
+/// 0, on and one ulp either side of every texel edge, at and above 1, far
+/// out of range, and non-finite.
+fn clamp_edge_coords(size: u32) -> Vec<f32> {
+    let mut out = vec![
+        -0.0,
+        -1e30,
+        1e30,
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+    ];
+    for k in -1..=i64::from(size) + 1 {
+        let u = k as f32 / size as f32;
+        out.extend([u.next_down(), u, u.next_up()]);
+    }
+    out
+}
+
+/// Nearest sampling at the clamp edges. `ImageSampler::fetch` picks the
+/// texel at `clamp(floor(u * w))`, and the compiled tier matches the
+/// scalar tier through both the plain fetch and the fused dot gather, on
+/// row-uniform batches and on mixed ones.
+#[test]
+fn nearest_sampling_at_clamp_edges_matches_floor_clamp() {
+    let floor_clamp = |c: f32, size: u32| (c.floor() as i64).clamp(0, i64::from(size) - 1) as usize;
+    let kernels = [
+        "uniform sampler2D tex;\nvarying vec2 v;\nvoid main() { gl_FragColor = texture2D(tex, v); }",
+        "uniform sampler2D tex;\nvarying vec2 v;\nvoid main() {\n\
+             float d = dot(texture2D(tex, vec2(v.x, v.y)), vec4(1.0, 0.5, 0.25, 0.125));\n\
+             gl_FragColor = vec4(d * 2.0 + 1.0);\n}",
+    ];
+    for (w, h) in [(1u32, 1u32), (3, 2), (4, 4), (7, 5)] {
+        let data: Vec<u8> = (0..w * h * 4).map(|i| (i * 37 % 251) as u8).collect();
+        let sampler = ImageSampler::new(w, h, data.clone());
+        let (us, vs) = (clamp_edge_coords(w), clamp_edge_coords(h));
+        for &v in &vs {
+            for &u in &us {
+                let (x, y) = (floor_clamp(u * w as f32, w), floor_clamp(v * h as f32, h));
+                let idx = (y * w as usize + x) * 4;
+                let want: Vec<f32> = data[idx..idx + 4].iter().map(|&b| u8_to_unorm(b)).collect();
+                assert_eq!(
+                    sampler.fetch(u, v)[..],
+                    want[..],
+                    "{w}x{h} at ({u:e}, {v:e})"
+                );
+            }
+        }
+        let rows = vs
+            .iter()
+            .map(|&v| us.iter().map(|&u| [u, v, 0.0, 0.0]).collect::<Vec<_>>());
+        let mixed: Vec<[f32; 4]> = us
+            .iter()
+            .zip(vs.iter().cycle().skip(1))
+            .map(|(&u, &v)| [u, v, 0.0, 0.0])
+            .collect();
+        for src in kernels {
+            let shader = compile(src).expect("sampling kernel compiles");
+            for batch in rows.clone().chain([mixed.clone()]) {
+                for chunk in batch.chunks(LANES) {
+                    assert_engines_agree(&shader, &UniformValues::new(), chunk, &[&sampler], src);
+                }
+            }
+        }
+    }
 }
