@@ -59,7 +59,7 @@ struct Measurement {
 fn context(platform: &Platform, n: u32, skip: bool) -> Gl {
     let mut gl = Gl::new(platform.clone(), n, n);
     // Host execution strategy is free: simulated timing is
-    // dispatcher-invariant, so take the machine's parallelism and only
+    // thread-count-invariant, so take the machine's parallelism and only
     // pin the knob under test.
     gl.set_exec_config(ExecConfig::from_env().with_tile_skip(skip));
     gl

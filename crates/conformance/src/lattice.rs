@@ -2,8 +2,9 @@
 //!
 //! One [`ExecPoint`] pins everything about *how* the driver executes a
 //! script that is supposed to be functionally invisible: fragment engine,
-//! bind-time specialisation, dispatcher (serial / scope-spawn / persistent
-//! pool), draw-plan caching and host thread count. [`lattice`] enumerates
+//! bind-time specialisation, draw-plan caching, tile skipping and host
+//! thread count (one thread shades inline, more dispatch over the
+//! persistent pool). [`lattice`] enumerates
 //! the points every case is held against; index 0 is the serial scalar
 //! [`baseline`](ExecPoint::baseline) the others are compared to.
 
@@ -19,10 +20,7 @@ pub struct ExecPoint {
     /// Bind-time uniform specialisation (compiled tier; the scalar tier
     /// ignores it).
     pub spec: bool,
-    /// Persistent-pool dispatcher (`false` = legacy scope-spawn path when
-    /// threaded, plain serial path when `threads == 1`).
-    pub pool: bool,
-    /// Per-context draw-plan cache (only reachable through the pool).
+    /// Per-context draw-plan cache (off: a transient plan per draw).
     pub plan_cache: bool,
     /// Tile-signature redundancy elimination (`MGPU_TILE_SKIP`). Changes
     /// *simulated time* by design, so the oracle only holds reports equal
@@ -34,13 +32,12 @@ pub struct ExecPoint {
 
 impl ExecPoint {
     /// The reference point every other configuration must match: serial,
-    /// scalar, no pool, no plan cache, no specialisation.
+    /// scalar, no plan cache, no specialisation.
     #[must_use]
     pub fn baseline() -> ExecPoint {
         ExecPoint {
             engine: Engine::Scalar,
             spec: false,
-            pool: false,
             plan_cache: false,
             tile_skip: false,
             threads: 1,
@@ -53,7 +50,6 @@ impl ExecPoint {
         let exec = ExecConfig::serial()
             .with_thread_count(self.threads)
             .with_engine(self.engine)
-            .with_pool(self.pool)
             .with_specialization(self.spec)
             .with_tile_skip(self.tile_skip);
         gl.set_exec_config(exec);
@@ -80,7 +76,6 @@ impl ExecPoint {
                     };
                 }
                 "spec" => point.spec = parse_switch(value)?,
-                "pool" => point.pool = parse_switch(value)?,
                 "cache" => point.plan_cache = parse_switch(value)?,
                 "skip" => point.tile_skip = parse_switch(value)?,
                 "threads" => {
@@ -109,13 +104,12 @@ impl fmt::Display for ExecPoint {
         let onoff = |b: bool| if b { "on" } else { "off" };
         write!(
             f,
-            "engine={} spec={} pool={} cache={} skip={} threads={}",
+            "engine={} spec={} cache={} skip={} threads={}",
             match self.engine {
                 Engine::Scalar => "scalar",
                 Engine::Compiled => "compiled",
             },
             onoff(self.spec),
-            onoff(self.pool),
             onoff(self.plan_cache),
             onoff(self.tile_skip),
             self.threads
@@ -123,10 +117,10 @@ impl fmt::Display for ExecPoint {
     }
 }
 
-/// The full lattice: {scalar, compiled±spec} × {serial; scope-spawn and
-/// pool (with the plan cache both on and off) at 2 and 8 threads}, plus
-/// per engine variant three tile-skip points (serial, and pool+cache at 2
-/// and 8 threads). 30 points; index 0 is [`ExecPoint::baseline`].
+/// The full lattice: {scalar, compiled±spec} × {serial; the plan cache
+/// both on and off at 2 and 8 threads}, plus per engine variant three
+/// tile-skip points (serial, and cached at 2 and 8 threads). 24 points;
+/// index 0 is [`ExecPoint::baseline`].
 #[must_use]
 pub fn lattice() -> Vec<ExecPoint> {
     let mut points = Vec::new();
@@ -138,26 +132,19 @@ pub fn lattice() -> Vec<ExecPoint> {
         let base = ExecPoint {
             engine,
             spec,
-            pool: false,
             plan_cache: false,
             tile_skip: false,
             threads: 1,
         };
         points.push(base);
         for threads in [2usize, 8] {
-            points.push(ExecPoint { threads, ..base });
-            points.push(ExecPoint {
-                pool: true,
-                plan_cache: true,
-                threads,
-                ..base
-            });
-            points.push(ExecPoint {
-                pool: true,
-                plan_cache: false,
-                threads,
-                ..base
-            });
+            for plan_cache in [true, false] {
+                points.push(ExecPoint {
+                    plan_cache,
+                    threads,
+                    ..base
+                });
+            }
         }
         // Tile-skip axis: the serial path and both pooled thread counts.
         // Every skip-on point must replay byte-identical transcripts; the
@@ -168,7 +155,6 @@ pub fn lattice() -> Vec<ExecPoint> {
         });
         for threads in [2usize, 8] {
             points.push(ExecPoint {
-                pool: true,
                 plan_cache: true,
                 tile_skip: true,
                 threads,
@@ -184,9 +170,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lattice_has_30_points_and_starts_at_baseline() {
+    fn lattice_has_24_points_and_starts_at_baseline() {
         let points = lattice();
-        assert_eq!(points.len(), 30);
+        assert_eq!(points.len(), 24);
         assert_eq!(points[0], ExecPoint::baseline());
         // All distinct.
         for (i, a) in points.iter().enumerate() {
@@ -195,12 +181,11 @@ mod tests {
             }
         }
         // Three skip-on points per engine variant: serial plus pooled at
-        // 2 and 8 threads, all with the plan cache following the pool.
+        // 2 and 8 threads, the pooled ones with the plan cache on.
         let skips: Vec<&ExecPoint> = points.iter().filter(|p| p.tile_skip).collect();
         assert_eq!(skips.len(), 9);
         for p in &skips {
-            assert_eq!(p.pool, p.plan_cache);
-            assert!(p.pool || p.threads == 1);
+            assert_eq!(p.plan_cache, p.threads > 1);
         }
     }
 
@@ -219,6 +204,9 @@ mod tests {
         assert!(ExecPoint::parse("spec=maybe").is_err());
         assert!(ExecPoint::parse("skip=maybe").is_err());
         assert!(ExecPoint::parse("threads=zero").is_err());
+        // There is one dispatcher, so a `pool=` key is unknown.
+        assert!(ExecPoint::parse("pool=on").is_err());
+        assert!(ExecPoint::parse("engine=scalar pool=off cache=off").is_err());
         assert!(ExecPoint::parse("bogus=1").is_err());
         assert!(ExecPoint::parse("nokey").is_err());
     }

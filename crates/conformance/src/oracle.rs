@@ -12,7 +12,7 @@
 //!   skipped tiles trade fragment shading for signature traffic — so
 //!   reports are held equal only *within* a skip group: all skip-on
 //!   points must report identical timing to each other (the skip decision
-//!   is deterministic, whatever the dispatcher), and all skip-off points
+//!   is deterministic, whatever the thread count), and all skip-off points
 //!   must match the baseline exactly as before.
 //!
 //! [`check_fault_recovery`] installs a recoverable [`FaultPlan`] and
@@ -158,8 +158,8 @@ pub fn check_case(case: &ConfCase) -> Option<Divergence> {
 }
 
 /// The execution points fault recovery is exercised at: the serial scalar
-/// baseline plus a pooled, plan-cached compiled point — both ends of the
-/// dispatcher spectrum, on both engine tiers — and a tile-skip point,
+/// baseline plus a pooled, plan-cached compiled point — inline and pooled
+/// shading, on both engine tiers — and a tile-skip point,
 /// because a context loss must flush the signature cache (stale replays
 /// after recovery would silently corrupt pixels).
 fn recovery_points() -> [ExecPoint; 3] {
@@ -168,7 +168,6 @@ fn recovery_points() -> [ExecPoint; 3] {
         ExecPoint {
             engine: Engine::Compiled,
             spec: true,
-            pool: true,
             plan_cache: true,
             tile_skip: false,
             threads: 2,
@@ -176,7 +175,6 @@ fn recovery_points() -> [ExecPoint; 3] {
         ExecPoint {
             engine: Engine::Compiled,
             spec: true,
-            pool: true,
             plan_cache: true,
             tile_skip: true,
             threads: 2,
@@ -185,7 +183,7 @@ fn recovery_points() -> [ExecPoint; 3] {
 }
 
 /// Runs `case` fault-free and under `plan` with recovery enabled, on both
-/// paper platforms at both ends of the dispatcher spectrum, demanding
+/// paper platforms at the serial and the pooled recovery points, demanding
 /// byte-identical transcripts. (Reports are *not* compared: a recovered
 /// run legitimately does more simulated work.)
 #[must_use]

@@ -5,7 +5,7 @@
 //! step. Readbacks record their bytes; state-changing steps record
 //! success; steps that hit an invalid GL state record the *typed error
 //! text* — so error paths are differentially tested exactly like pixel
-//! paths (error classification must not depend on engine, dispatcher or
+//! paths (error classification must not depend on engine, plan caching or
 //! thread count either).
 //!
 //! With a [`FaultPlan`] installed and `recover` set, the runner plays the
@@ -75,7 +75,7 @@ pub struct RunOutcome {
     /// One outcome per script step, in order.
     pub transcript: Vec<StepOutcome>,
     /// The simulated timing report — itself required to be invariant
-    /// across engines, dispatchers and thread counts on fault-free runs.
+    /// across engines, plan caching and thread counts on fault-free runs.
     pub report: SimReport,
     /// Number of faults the injector fired during the run.
     pub faults_fired: usize,

@@ -568,11 +568,6 @@ pub fn shrink_point(point: ExecPoint, mut fails: impl FnMut(&ExecPoint) -> bool)
                 ..best
             },
             ExecPoint {
-                pool: false,
-                plan_cache: false,
-                ..best
-            },
-            ExecPoint {
                 plan_cache: false,
                 ..best
             },
@@ -670,7 +665,6 @@ mod tests {
         let worst = ExecPoint {
             engine: Engine::Compiled,
             spec: true,
-            pool: true,
             plan_cache: true,
             tile_skip: true,
             threads: 8,
@@ -685,7 +679,6 @@ mod tests {
         let worst = ExecPoint {
             engine: Engine::Compiled,
             spec: false,
-            pool: false,
             plan_cache: false,
             tile_skip: false,
             threads: 1,

@@ -20,7 +20,8 @@ use std::sync::Arc;
 
 use mgpu_shader::ir::Shader;
 use mgpu_shader::{
-    compile_with, cost, nearest_texel, CompileOptions, Limits, OptOptions, Sampler, UniformValues,
+    compile_with, cost, nearest_texel, CompileOptions, ExecError, Limits, OptOptions, Sampler,
+    UniformValues,
 };
 use mgpu_tbdr::{
     AllocKind, CopyOut, FragmentProfile, FragmentWork, FrameTiming, FrameWork, PipelineSim,
@@ -34,8 +35,8 @@ use crate::fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultSite};
 use crate::plan_cache::{corners_hash, PlanCache, PlanCacheStats, PlanKey};
 use crate::pool::Executor;
 use crate::raster::{
-    execute_plan, execute_plan_rect, panic_message, quantize_rgba8, rasterize_quad_rows_into,
-    texcoord_corners, DrawPlan, RasterTarget, VaryingCorners,
+    execute_plan, execute_plan_rect, panic_message, quantize_rgba8, texcoord_corners, DrawPlan,
+    RasterTarget, VaryingCorners,
 };
 use crate::tile_skip::{
     blit_tile, content_hash, extract_tile, region_hash, sample_footprint, tile_signature, TexSig,
@@ -231,6 +232,23 @@ fn tile_texture_sigs(
             }
         })
         .collect()
+}
+
+/// A kernel failure, as the draw that hit it reports it.
+fn kernel_failed(e: ExecError) -> GlError {
+    GlError::InvalidOperation(format!("kernel execution failed: {e}"))
+}
+
+/// Runs one shading call with panics contained: a kernel error or panic
+/// becomes the draw's [`GlError`], never an unwind through the context.
+fn shade(run: impl FnOnce() -> Result<(), ExecError>) -> Result<(), GlError> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
+        Ok(r) => r.map_err(kernel_failed),
+        Err(p) => Err(GlError::InvalidOperation(format!(
+            "kernel execution panicked: {}",
+            panic_message(&*p)
+        ))),
+    }
 }
 
 /// `vec![0u8; len]` without the abort: `None` when the host cannot
@@ -442,9 +460,9 @@ pub struct Gl {
     context_lost: bool,
 
     /// Persistent rasteriser executor, spawned lazily on the first draw
-    /// that dispatches in parallel with the pool enabled — or installed
-    /// from outside via [`Gl::install_executor`] to share one set of host
-    /// threads across many contexts. Deliberately survives
+    /// that dispatches in parallel — or installed from outside via
+    /// [`Gl::install_executor`] to share one set of host threads across
+    /// many contexts. Deliberately survives
     /// [`Gl::recreate`]: context loss destroys GPU objects, not host
     /// threads.
     executor: Option<Executor>,
@@ -453,10 +471,9 @@ pub struct Gl {
     /// contexts still share (dispatch clamps participation instead).
     executor_installed: bool,
     /// Per-context draw-plan cache (cleared on context loss/recreation).
+    /// While disabled it parks the last draw's plan so the next build can
+    /// recycle its allocations.
     plan_cache: PlanCache,
-    /// When the plan cache is disabled, the last draw's plan is parked
-    /// here so the next build can recycle its allocations.
-    scratch_plan: Option<DrawPlan>,
     /// Per-context tile-signature cache for redundancy elimination
     /// (`MGPU_TILE_SKIP=on`; flushed on context loss and engine/spec
     /// reconfiguration).
@@ -548,7 +565,6 @@ impl Gl {
             executor: None,
             executor_installed: false,
             plan_cache: PlanCache::new(plan_cache_default()),
-            scratch_plan: None,
             tile_cache: TileSigCache::new(),
         })
     }
@@ -567,9 +583,10 @@ impl Gl {
     }
 
     /// Sets how the functional fragment engine executes on the host
-    /// (thread count, engine tier, pooled vs scope-spawn dispatch).
-    /// Purely a wall-clock knob: outputs and simulated timing are
-    /// identical for every setting.
+    /// (thread count, engine tier, specialisation, tile skipping).
+    /// Outputs are identical for every setting, and so is simulated timing
+    /// except that tile skipping models the shading it saves (see
+    /// [`ExecConfig::with_tile_skip`]).
     ///
     /// Changing the thread count retires a privately created executor; a
     /// correctly sized one is spawned lazily by the next parallel draw
@@ -632,14 +649,10 @@ impl Gl {
 
     /// Enables or disables the per-context draw-plan cache (draw setup —
     /// uniform specialisation, interpolation hoisting, engine state — is
-    /// then redone every draw). Disabling drops every cached plan. Only
-    /// consulted on the pooled dispatch path; with the pool off the
-    /// legacy per-draw path never caches. Purely a wall-clock knob.
+    /// then redone every draw, recycling the previous plan's allocations).
+    /// Disabling drops every cached plan. Purely a wall-clock knob.
     pub fn set_plan_cache_enabled(&mut self, enabled: bool) {
         self.plan_cache.set_enabled(enabled);
-        if enabled {
-            self.scratch_plan = None;
-        }
     }
 
     /// Hit/miss/eviction counters of the draw-plan cache.
@@ -721,7 +734,6 @@ impl Gl {
         // exists. The worker pool, by contrast, survives: recovery should
         // not pay a thread-respawn tax on top of object recreation.
         self.plan_cache.clear();
-        self.scratch_plan = None;
         // Cached tile bytes likewise belong to dead objects; recovered
         // runs must re-shade (and re-sign) from scratch.
         self.tile_cache.flush();
@@ -734,7 +746,6 @@ impl Gl {
         self.pending_uploads.clear();
         self.pending_cpu_extra = SimTime::ZERO;
         self.plan_cache.clear();
-        self.scratch_plan = None;
         self.tile_cache.flush();
     }
 
@@ -1739,7 +1750,6 @@ impl Gl {
             let surfaces = &mut self.surfaces;
             let pool = &mut self.executor;
             let plan_cache = &mut self.plan_cache;
-            let scratch_plan = &mut self.scratch_plan;
             let tile_cache = &mut self.tile_cache;
             let platform = &self.platform;
             let taken = &mut taken;
@@ -1773,45 +1783,10 @@ impl Gl {
                     }
                 };
 
-                if !exec.pool_enabled() && !skip_on {
-                    // Legacy dispatch: per-draw `thread::scope` spawning
-                    // with round-robin chunk dealing and no plan caching —
-                    // kept code-path-for-code-path as the pre-pool driver.
-                    // `MGPU_POOL=off` (or `with_pool(false)`) pins it.
-                    let raster = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        rasterize_quad_rows_into(
-                            &program.shader,
-                            &program.uniforms,
-                            &sampler_refs,
-                            &corners,
-                            RasterTarget {
-                                width,
-                                height,
-                                channels: ch,
-                                data: out,
-                            },
-                            y0,
-                            y1,
-                            &exec,
-                        )
-                    }));
-                    return match raster {
-                        Ok(r) => r.map(|()| SkipWork::default()).map_err(|e| {
-                            GlError::InvalidOperation(format!("kernel execution failed: {e}"))
-                        }),
-                        Err(p) => Err(GlError::InvalidOperation(format!(
-                            "kernel execution panicked: {}",
-                            panic_message(&*p)
-                        ))),
-                    };
-                }
-
-                // Plan-based dispatch: pooled draws always take this path;
-                // pool-off draws join it when tile skipping is on, because
-                // signatures need the plan's hoisted column table (the
-                // actual full-band shade below still uses the pre-pool
-                // dispatcher in that case). Sampler views are always
-                // fresh — texture contents are never part of a plan.
+                // Take the plan from the cache, or build one — recycling
+                // the parked plan's allocations while the cache is off.
+                // Sampler views are always fresh: texture contents are
+                // never part of a plan.
                 let key = PlanKey {
                     program: prog_id.0,
                     shader_hash: program.shader_hash,
@@ -1823,29 +1798,18 @@ impl Gl {
                     channels: ch,
                     corners_hash: corners_hash(&corners),
                 };
-                let build = |recycled: Option<DrawPlan>| {
-                    DrawPlan::build(
+                let mut plan = match plan_cache.take(&key) {
+                    Some(plan) => plan,
+                    None => DrawPlan::build(
                         &program.shader,
                         &program.uniforms,
                         exec.engine(),
                         exec.specialization(),
                         &corners,
                         width,
-                        recycled,
+                        plan_cache.recycled(),
                     )
-                    .map_err(|e| GlError::InvalidOperation(format!("kernel execution failed: {e}")))
-                };
-                let mut plan = if exec.pool_enabled() {
-                    match plan_cache.take(&key) {
-                        Some(plan) => plan,
-                        // Populated only while the cache is disabled, so
-                        // recycling can never cannibalise a cached plan.
-                        None => build(scratch_plan.take())?,
-                    }
-                } else {
-                    // The plan cache is a pooled-path feature; pool-off
-                    // skipping recycles through the scratch slot only.
-                    build(scratch_plan.take())?
+                    .map_err(kernel_failed)?,
                 };
 
                 // Tile-redundancy elimination: consult the signature cache
@@ -1878,131 +1842,61 @@ impl Gl {
                             None => misses.push((r, sig)),
                         }
                     }
-                    if misses.is_empty() {
-                        // Every tile replayed: nothing to shade. The plan
-                        // is retained exactly as a shaded draw would.
-                        if exec.pool_enabled() && plan_cache.enabled() {
-                            plan_cache.insert(key, plan);
-                        } else {
-                            *scratch_plan = Some(plan);
-                        }
-                        return Ok(skip);
-                    }
-                    if skip.skipped_tiles > 0 {
-                        // Partial hit: shade only the missing tiles, on
-                        // seat 0 tile by tile. Wall-clock only — rect
-                        // draws are byte-identical to full draws on every
-                        // engine tier.
+                    if misses.is_empty() || skip.skipped_tiles > 0 {
+                        // Every tile replayed, or a partial hit: shade only
+                        // the missing tiles, on seat 0 tile by tile.
+                        // Wall-clock only — rect draws are byte-identical to
+                        // full draws on every engine tier.
                         for (r, sig) in &misses {
                             let mut bytes = vec![0u8; r.pixels() as usize * ch];
-                            let raster =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    execute_plan_rect(
-                                        &mut plan,
-                                        &sampler_refs,
-                                        height,
-                                        r.x0,
-                                        r.x1,
-                                        r.y0,
-                                        r.y1,
-                                        ch,
-                                        &mut bytes,
-                                    )
-                                }));
-                            match raster {
-                                Ok(Ok(())) => {}
-                                Ok(Err(e)) => {
-                                    return Err(GlError::InvalidOperation(format!(
-                                        "kernel execution failed: {e}"
-                                    )))
-                                }
-                                Err(p) => {
-                                    return Err(GlError::InvalidOperation(format!(
-                                        "kernel execution panicked: {}",
-                                        panic_message(&*p)
-                                    )))
-                                }
-                            }
+                            shade(|| {
+                                execute_plan_rect(
+                                    &mut plan,
+                                    &sampler_refs,
+                                    height,
+                                    r.x0,
+                                    r.x1,
+                                    r.y0,
+                                    r.y1,
+                                    ch,
+                                    &mut bytes,
+                                )
+                            })?;
                             blit_tile(&bytes, r, width, ch, out);
                             tile_cache.insert(TileKey::new(key, r), *sig, bytes);
                         }
-                        if exec.pool_enabled() && plan_cache.enabled() {
-                            plan_cache.insert(key, plan);
-                        } else {
-                            *scratch_plan = Some(plan);
-                        }
+                        plan_cache.retain(key, plan);
                         return Ok(skip);
                     }
                     // All tiles missed: fall through to the full-band
                     // shade at full dispatch parallelism, then harvest.
                 }
 
-                let raster = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    if exec.pool_enabled() {
-                        execute_plan(
-                            &mut plan,
-                            &sampler_refs,
-                            RasterTarget {
-                                width,
-                                height,
-                                channels: ch,
-                                data: out,
-                            },
-                            y0,
-                            y1,
-                            exec.threads(),
-                            pool,
-                        )
-                    } else {
-                        // Skip-on with the pool off shades exactly as the
-                        // pre-pool dispatcher would.
-                        rasterize_quad_rows_into(
-                            &program.shader,
-                            &program.uniforms,
-                            &sampler_refs,
-                            &corners,
-                            RasterTarget {
-                                width,
-                                height,
-                                channels: ch,
-                                data: out,
-                            },
-                            y0,
-                            y1,
-                            &exec,
-                        )
-                    }
-                }));
-                match raster {
-                    // Plans are retained only after a fully successful
-                    // draw; failed or panicked draws drop theirs.
-                    Ok(Ok(())) => {
-                        if skip_on {
-                            // Harvest every shaded tile's bytes under its
-                            // signature for the next pass.
-                            for (r, sig) in misses {
-                                tile_cache.insert(
-                                    TileKey::new(key, &r),
-                                    sig,
-                                    extract_tile(out, &r, width, ch),
-                                );
-                            }
-                        }
-                        if exec.pool_enabled() && plan_cache.enabled() {
-                            plan_cache.insert(key, plan);
-                        } else {
-                            *scratch_plan = Some(plan);
-                        }
-                        Ok(skip)
-                    }
-                    Ok(Err(e)) => Err(GlError::InvalidOperation(format!(
-                        "kernel execution failed: {e}"
-                    ))),
-                    Err(p) => Err(GlError::InvalidOperation(format!(
-                        "kernel execution panicked: {}",
-                        panic_message(&*p)
-                    ))),
+                shade(|| {
+                    execute_plan(
+                        &mut plan,
+                        &sampler_refs,
+                        RasterTarget {
+                            width,
+                            height,
+                            channels: ch,
+                            data: out,
+                        },
+                        y0,
+                        y1,
+                        exec.threads(),
+                        pool,
+                    )
+                })?;
+                // Harvest every shaded tile's bytes under its signature for
+                // the next pass (no misses are recorded with skipping off).
+                for (r, sig) in misses {
+                    tile_cache.insert(TileKey::new(key, &r), sig, extract_tile(out, &r, width, ch));
                 }
+                // Plans are retained only after a fully successful draw;
+                // failed or panicked draws drop theirs.
+                plan_cache.retain(key, plan);
+                Ok(skip)
             })()
         };
 

@@ -13,18 +13,18 @@
 //! 2. the `MGPU_THREADS` environment variable (a positive integer),
 //! 3. [`std::thread::available_parallelism`].
 //!
-//! `MGPU_THREADS=1` (or [`ExecConfig::serial`]) selects the original
-//! serial path exactly.
+//! At one thread the plan executor shades inline on the calling thread;
+//! [`ExecConfig::serial`] adds the scalar reference engine with
+//! specialisation off.
 //!
-//! **Every** `MGPU_*` knob (`MGPU_ENGINE`, `MGPU_POOL`, `MGPU_PLAN_CACHE`,
-//! `MGPU_SPEC`, `MGPU_TILE_SKIP`, `MGPU_THREADS`, `MGPU_FAULTS`) is
-//! resolved **once per
+//! **Every** `MGPU_*` knob (`MGPU_ENGINE`, `MGPU_PLAN_CACHE`, `MGPU_SPEC`,
+//! `MGPU_TILE_SKIP`, `MGPU_THREADS`, `MGPU_FAULTS`) is resolved **once per
 //! process** into a single cached snapshot: mutating the environment
-//! mid-run can never flip the engine, pool, plan cache, thread default or
-//! fault plan between draws or desynchronise two configs built at
-//! different times. An explicit builder call ([`ExecConfig::with_engine`],
-//! [`ExecConfig::with_pool`]) is the supported way to change them at run
-//! time.
+//! mid-run can never flip the engine, plan cache, thread default or fault
+//! plan between draws or desynchronise two configs built at different
+//! times. An explicit call ([`ExecConfig::with_engine`],
+//! [`Gl::set_plan_cache_enabled`](crate::Gl::set_plan_cache_enabled)) is
+//! the supported way to change them at run time.
 //!
 //! Invalid knob values are **errors**, not silent fallbacks: the snapshot
 //! records a typed [`EnvKnobError`] naming the variable, the offending
@@ -51,16 +51,10 @@ pub const ENGINE_ENV: &str = "MGPU_ENGINE";
 /// an [`EnvKnobError`] at context creation.
 pub const FAULTS_ENV: &str = "MGPU_FAULTS";
 
-/// Environment variable disabling the persistent worker pool
-/// (`off`/`0`/`false`/`no`): the rasteriser then uses the legacy
-/// per-draw `thread::scope` spawn path with round-robin chunk dealing,
-/// and the draw-plan cache is bypassed. The escape hatch for comparing
-/// against (or falling back to) the pre-pool execution path.
-pub const POOL_ENV: &str = "MGPU_POOL";
-
 /// Environment variable disabling the per-context draw-plan cache
-/// (`off`/`0`/`false`/`no`) while keeping the worker pool: every draw
-/// then rebuilds its specialised shader, column table and engine seats.
+/// (`off`/`0`/`false`/`no`): every draw then builds a transient plan —
+/// specialised shader, column table and engine seats — recycling the
+/// previous draw's allocations.
 pub const PLAN_CACHE_ENV: &str = "MGPU_PLAN_CACHE";
 
 /// Environment variable enabling tile-level redundancy elimination
@@ -143,7 +137,7 @@ impl std::fmt::Display for EnvKnobError {
 impl std::error::Error for EnvKnobError {}
 
 /// Process-wide snapshot of **every** `MGPU_*` environment knob, read and
-/// validated exactly once. Engine/pool/cache/spec selection must stay
+/// validated exactly once. Engine/cache/spec selection must stay
 /// constant across a run for the byte-identity and plan-reuse invariants
 /// to be meaningful; caching the thread default and fault plan alongside
 /// them means two configs (or contexts) built at different times can
@@ -151,7 +145,6 @@ impl std::error::Error for EnvKnobError {}
 #[derive(Debug, Clone)]
 struct EnvKnobs {
     engine: Engine,
-    pool: bool,
     plan_cache: bool,
     spec: bool,
     /// `MGPU_TILE_SKIP` — the only switch that defaults **off**: tile
@@ -190,7 +183,6 @@ impl EnvKnobs {
         };
         Ok(EnvKnobs {
             engine,
-            pool: resolve_switch(&get, POOL_ENV)?,
             plan_cache: resolve_switch(&get, PLAN_CACHE_ENV)?,
             spec: resolve_switch(&get, SPEC_ENV)?,
             tile_skip: resolve_switch_or(&get, TILE_SKIP_ENV, false)?,
@@ -217,8 +209,8 @@ fn parse_engine(value: &str) -> Option<Engine> {
 }
 
 /// `on`/`1`/`true`/`yes` or `off`/`0`/`false`/`no`, case-insensitive and
-/// trimmed. Anything else is a grammar error — an `MGPU_POOL=offf` typo
-/// must not silently leave the pool on.
+/// trimmed. Anything else is a grammar error — an `MGPU_PLAN_CACHE=offf`
+/// typo must not silently leave the cache on.
 fn parse_switch(value: &str) -> Option<bool> {
     match value.trim().to_ascii_lowercase().as_str() {
         "on" | "1" | "true" | "yes" => Some(true),
@@ -304,9 +296,8 @@ pub(crate) fn env_fault_plan() -> Result<Option<FaultPlan>, EnvKnobError> {
 ///
 /// The framebuffer is partitioned into chunks of this many rows; the
 /// chunk→rows (and therefore chunk→bytes) mapping depends only on the
-/// target size and band, never on scheduling — whether chunks are dealt
-/// round-robin (legacy scope path) or claimed by work-stealing (pool
-/// path), every byte each chunk writes is the same.
+/// target size and band, never on scheduling — whichever pool participant
+/// claims a chunk, every byte it writes is the same.
 pub const CHUNK_ROWS: u32 = 16;
 
 /// How the functional fragment engine executes kernels on the host.
@@ -314,27 +305,27 @@ pub const CHUNK_ROWS: u32 = 16;
 pub struct ExecConfig {
     threads: usize,
     engine: Engine,
-    pool: bool,
     spec: bool,
     tile_skip: bool,
 }
 
 impl ExecConfig {
-    /// The original single-threaded scalar execution path (worker pool,
-    /// plan cache and bind-time specialisation bypassed).
+    /// One thread on the scalar reference engine, bind-time
+    /// specialisation and tile skipping off: plans shade inline on the
+    /// calling thread, with no worker pool. The plan cache is the
+    /// context's to set ([`Gl::set_plan_cache_enabled`](crate::Gl::set_plan_cache_enabled)).
     #[must_use]
     pub const fn serial() -> Self {
         ExecConfig {
             threads: 1,
             engine: Engine::Scalar,
-            pool: false,
             spec: false,
             tile_skip: false,
         }
     }
 
     /// Executes fragments on `threads` worker threads (clamped to ≥ 1),
-    /// with the environment-selected engine, pool and specialisation
+    /// with the environment-selected engine, specialisation and tile-skip
     /// modes.
     ///
     /// # Panics
@@ -347,15 +338,14 @@ impl ExecConfig {
         ExecConfig {
             threads: threads.max(1),
             engine: knobs.engine,
-            pool: knobs.pool,
             spec: knobs.spec,
             tile_skip: knobs.tile_skip,
         }
     }
 
     /// The environment-driven configuration: `MGPU_THREADS` (falling back
-    /// to the machine's available parallelism), `MGPU_ENGINE`, `MGPU_POOL`
-    /// and `MGPU_SPEC`, all from the once-per-process snapshot.
+    /// to the machine's available parallelism), `MGPU_ENGINE`, `MGPU_SPEC`
+    /// and `MGPU_TILE_SKIP`, all from the once-per-process snapshot.
     ///
     /// # Errors
     ///
@@ -374,7 +364,6 @@ impl ExecConfig {
         Ok(ExecConfig {
             threads: threads.max(1),
             engine: knobs.engine,
-            pool: knobs.pool,
             spec: knobs.spec,
             tile_skip: knobs.tile_skip,
         })
@@ -410,13 +399,11 @@ impl ExecConfig {
         self
     }
 
-    /// This configuration with the persistent-pool dispatcher switched on
-    /// or off. With it off, draws use the legacy per-draw `thread::scope`
-    /// spawn path with round-robin chunk dealing and no plan caching —
-    /// byte-identical output, pre-pool wall-clock behaviour.
+    /// No-op, kept only for the repository benchmark, which still calls
+    /// it: every draw runs through the persistent-pool plan executor, so
+    /// there is no dispatcher left to choose. Returns `self` unchanged.
     #[must_use]
-    pub const fn with_pool(mut self, pool: bool) -> Self {
-        self.pool = pool;
+    pub const fn with_pool(self, _pool: bool) -> Self {
         self
     }
 
@@ -456,11 +443,12 @@ impl ExecConfig {
         self.engine
     }
 
-    /// Whether draws dispatch through the persistent worker pool (and may
-    /// use the draw-plan cache) rather than the legacy scope-spawn path.
+    /// Always `true`: every draw dispatches through the persistent-pool
+    /// plan executor. Kept only for the repository benchmark, which still
+    /// records it.
     #[must_use]
     pub fn pool_enabled(&self) -> bool {
-        self.pool
+        true
     }
 
     /// Whether the compiled tier specialises shaders against their bound
@@ -499,7 +487,6 @@ mod tests {
     fn serial_is_one_thread() {
         assert_eq!(ExecConfig::serial().threads(), 1);
         assert!(ExecConfig::serial().is_serial());
-        assert!(!ExecConfig::serial().pool_enabled());
     }
 
     #[test]
@@ -532,15 +519,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_builder_round_trips() {
-        let cfg = ExecConfig::with_threads(4).with_pool(false);
-        assert!(!cfg.pool_enabled());
-        assert!(cfg.with_pool(true).pool_enabled());
-        // Toggling the pool leaves the other knobs alone.
-        assert_eq!(cfg.threads(), 4);
-    }
-
-    #[test]
     fn tile_skip_builder_round_trips() {
         assert!(!ExecConfig::serial().tile_skip());
         let cfg = ExecConfig::with_threads(4).with_tile_skip(true);
@@ -559,10 +537,7 @@ mod tests {
         assert!(cfg.with_specialization(true).specialization());
         // Toggling specialisation leaves the other knobs alone.
         assert_eq!(cfg.threads(), 4);
-        assert_eq!(
-            cfg.pool_enabled(),
-            ExecConfig::with_threads(4).pool_enabled()
-        );
+        assert_eq!(cfg.engine(), ExecConfig::with_threads(4).engine());
     }
 
     /// Resolves a snapshot in which exactly one knob is set.
@@ -604,10 +579,9 @@ mod tests {
         ] {
             for s in spellings(token) {
                 assert_eq!(parse_switch(&s), Some(on), "switch `{s}`");
-                for var in [POOL_ENV, PLAN_CACHE_ENV, SPEC_ENV, TILE_SKIP_ENV] {
+                for var in [PLAN_CACHE_ENV, SPEC_ENV, TILE_SKIP_ENV] {
                     let knobs = resolve_one(var, &s).unwrap();
                     let got = match var {
-                        POOL_ENV => knobs.pool,
                         PLAN_CACHE_ENV => knobs.plan_cache,
                         SPEC_ENV => knobs.spec,
                         _ => knobs.tile_skip,
@@ -627,7 +601,7 @@ mod tests {
         assert_eq!(resolve_one(FAULTS_ENV, "  ").unwrap().faults, None);
         let defaults = EnvKnobs::resolve(|_| None).unwrap();
         assert_eq!(defaults.engine, Engine::Compiled);
-        assert!(defaults.pool && defaults.plan_cache && defaults.spec);
+        assert!(defaults.plan_cache && defaults.spec);
         assert!(!defaults.tile_skip, "tile skipping must default off");
         assert_eq!(defaults.threads, None);
         assert_eq!(defaults.faults, None);
@@ -660,7 +634,7 @@ mod tests {
         let switch_bad = ["offf", "enabled", "2", "-1", "o n", ""];
         for v in switch_bad {
             assert_eq!(parse_switch(v), None, "switch `{v}`");
-            for var in [POOL_ENV, PLAN_CACHE_ENV, SPEC_ENV, TILE_SKIP_ENV] {
+            for var in [PLAN_CACHE_ENV, SPEC_ENV, TILE_SKIP_ENV] {
                 let err = resolve_one(var, v).unwrap_err();
                 assert_eq!((err.var, err.value.as_str()), (var, v));
             }
@@ -686,7 +660,6 @@ mod tests {
             let v = match var {
                 ENGINE_ENV => "compiled",
                 THREADS_ENV => "3",
-                POOL_ENV => "on",
                 PLAN_CACHE_ENV => "off",
                 SPEC_ENV => "no",
                 TILE_SKIP_ENV => "yes",
@@ -698,7 +671,7 @@ mod tests {
         .unwrap();
         assert_eq!(knobs.engine, Engine::Compiled);
         assert_eq!(knobs.threads, Some(3));
-        assert!(knobs.pool && !knobs.plan_cache && !knobs.spec);
+        assert!(!knobs.plan_cache && !knobs.spec);
         assert!(knobs.tile_skip);
         assert_eq!(knobs.faults, Some(FaultPlan::seeded(4)));
 
@@ -714,11 +687,12 @@ mod tests {
     #[test]
     fn engine_resolution_is_stable_across_calls() {
         // The env snapshot is taken once: two configs built at different
-        // times always agree on engine and pool mode.
+        // times always agree on engine, specialisation and tile skipping.
         let a = ExecConfig::with_threads(2);
         let b = ExecConfig::with_threads(7);
         assert_eq!(a.engine(), b.engine());
-        assert_eq!(a.pool_enabled(), b.pool_enabled());
+        assert_eq!(a.specialization(), b.specialization());
+        assert_eq!(a.tile_skip(), b.tile_skip());
         assert_eq!(Engine::from_env(), a.engine());
     }
 }

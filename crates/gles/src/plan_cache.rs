@@ -114,6 +114,9 @@ pub(crate) struct PlanCache {
     /// the queue is compacted when it outgrows the map by 4×.
     order: VecDeque<PlanKey>,
     enabled: bool,
+    /// While the cache is disabled, the last draw's plan is parked here so
+    /// the next build can recycle its allocations.
+    scratch: Option<DrawPlan>,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -137,21 +140,21 @@ impl PlanCache {
             plans: HashMap::new(),
             order: VecDeque::new(),
             enabled,
+            scratch: None,
             hits: 0,
             misses: 0,
             evictions: 0,
         }
     }
 
-    pub(crate) fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Enables or disables lookups. Disabling clears the cache — a
-    /// disabled cache must not pin stale plans (or their memory) alive.
+    /// disabled cache must not pin stale plans (or their memory) alive —
+    /// and enabling drops the parked recycling donor.
     pub(crate) fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
-        if !enabled {
+        if enabled {
+            self.scratch = None;
+        } else {
             self.clear();
         }
     }
@@ -173,9 +176,19 @@ impl PlanCache {
         }
     }
 
-    /// (Re)inserts a plan, evicting the oldest entries beyond capacity.
-    pub(crate) fn insert(&mut self, key: PlanKey, plan: DrawPlan) {
+    /// The parked plan whose allocations the next build may recycle.
+    /// Populated only while the cache is disabled, so recycling can never
+    /// cannibalise a cached plan.
+    pub(crate) fn recycled(&mut self) -> Option<DrawPlan> {
+        self.scratch.take()
+    }
+
+    /// Keeps a plan after a successful draw: (re)inserts it, evicting the
+    /// oldest entries beyond capacity, or — while the cache is disabled —
+    /// parks it as the next build's recycling donor.
+    pub(crate) fn retain(&mut self, key: PlanKey, plan: DrawPlan) {
         if !self.enabled {
+            self.scratch = Some(plan);
             return;
         }
         self.plans.insert(key, plan);
@@ -216,10 +229,11 @@ impl PlanCache {
         }
     }
 
-    /// Drops every cached plan (context loss, cache disable).
+    /// Drops every cached and parked plan (context loss, cache disable).
     pub(crate) fn clear(&mut self) {
         self.plans.clear();
         self.order.clear();
+        self.scratch = None;
     }
 
     pub(crate) fn stats(&self) -> PlanCacheStats {
@@ -274,7 +288,7 @@ mod tests {
     fn take_counts_hits_and_misses() {
         let mut cache = PlanCache::new(true);
         assert!(cache.take(&key(1, 0)).is_none());
-        cache.insert(key(1, 0), test_plan());
+        cache.retain(key(1, 0), test_plan());
         assert!(cache.take(&key(1, 0)).is_some());
         assert!(cache.take(&key(1, 0)).is_none(), "take removes the plan");
         let stats = cache.stats();
@@ -286,16 +300,16 @@ mod tests {
     #[test]
     fn capacity_is_bounded_and_reinsertion_protects_hot_plans() {
         let mut cache = PlanCache::new(true);
-        cache.insert(key(0, 0), test_plan());
-        cache.insert(key(9, 9), test_plan());
+        cache.retain(key(0, 0), test_plan());
+        cache.retain(key(9, 9), test_plan());
         // Re-touch key 0 (take + reinsert): it is now *newer* than key 9
         // despite its stale front slot in the eviction queue.
         let plan = cache.take(&key(0, 0)).expect("just inserted");
-        cache.insert(key(0, 0), plan);
+        cache.retain(key(0, 0), plan);
         // Flood to one entry over capacity: exactly one eviction, and it
         // must hit the cold key 9, not the re-touched key 0.
         for i in 1..PLAN_CACHE_CAP as u64 {
-            cache.insert(key(1, i), test_plan());
+            cache.retain(key(1, i), test_plan());
         }
         let stats = cache.stats();
         assert_eq!(stats.entries, PLAN_CACHE_CAP);
@@ -311,13 +325,13 @@ mod tests {
         let mut cache = PlanCache::new(true);
         for pass in 0..64u64 {
             assert!(cache.take(&key(7, pass)).is_none());
-            cache.insert(key(7, pass), test_plan());
+            cache.retain(key(7, pass), test_plan());
         }
         for pass in 0..64u64 {
             let plan = cache.take(&key(7, pass));
             assert!(plan.is_some(), "pass {pass} should be warm");
             if let Some(plan) = plan {
-                cache.insert(key(7, pass), plan);
+                cache.retain(key(7, pass), plan);
             }
         }
         let stats = cache.stats();
@@ -329,12 +343,17 @@ mod tests {
     #[test]
     fn disabling_clears_and_stops_serving() {
         let mut cache = PlanCache::new(true);
-        cache.insert(key(1, 0), test_plan());
+        cache.retain(key(1, 0), test_plan());
         cache.set_enabled(false);
         assert_eq!(cache.stats().entries, 0);
         assert!(cache.take(&key(1, 0)).is_none());
-        cache.insert(key(1, 0), test_plan());
+        cache.retain(key(1, 0), test_plan());
         assert_eq!(cache.stats().entries, 0, "disabled cache stores nothing");
+        assert!(
+            cache.recycled().is_some(),
+            "the plan is parked for recycling"
+        );
+        assert!(cache.recycled().is_none());
     }
 
     #[test]

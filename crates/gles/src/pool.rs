@@ -1,12 +1,11 @@
 //! A persistent, condvar-parked worker pool for the functional rasteriser.
 //!
-//! The legacy execution path spawns fresh OS threads inside a
-//! [`std::thread::scope`] on **every draw**; on multi-pass GPGPU pipelines
-//! (a block-16 sgemm at 1024² issues 64 draws per multiply) thread spawn
-//! and join dominate per-draw overhead. This pool spawns its workers once,
-//! parks them on a condvar between draws, and hands each draw out as a
-//! borrowed job closure — the steady-state cost of a dispatch is one mutex
-//! round-trip and a `notify_all`.
+//! Spawning fresh OS threads on **every draw** would let thread spawn and
+//! join dominate per-draw overhead on multi-pass GPGPU pipelines (a
+//! block-16 sgemm at 1024² issues 64 draws per multiply). This pool
+//! spawns its workers once, parks them on a condvar between draws, and
+//! hands each draw out as a borrowed job closure — the steady-state cost
+//! of a dispatch is one mutex round-trip and a `notify_all`.
 //!
 //! ## Lifecycle
 //!
@@ -446,21 +445,24 @@ mod tests {
         // not corrupt each other's job slot: every dispatch still runs
         // once per seat.
         let exec = Executor::new(3);
-        let total = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..2 {
+        let total = Arc::new(AtomicUsize::new(0));
+        let dispatchers: Vec<_> = (0..2)
+            .map(|_| {
                 let exec = exec.clone();
-                let total = &total;
-                s.spawn(move || {
+                let total = Arc::clone(&total);
+                std::thread::spawn(move || {
                     for _ in 0..50 {
                         let panicked = exec.run(4, &|_seat| {
                             total.fetch_add(1, Ordering::SeqCst);
                         });
                         assert!(!panicked);
                     }
-                });
-            }
-        });
+                })
+            })
+            .collect();
+        for d in dispatchers {
+            d.join().unwrap();
+        }
         assert_eq!(total.load(Ordering::SeqCst), 2 * 50 * 4);
     }
 

@@ -6,47 +6,44 @@
 //! per fragment); arbitrary triangle meshes are out of scope for the
 //! reproduction and rejected by the context layer.
 //!
-//! Two entry points exist: the closure-based [`rasterize_quad`] (the
-//! serial scalar reference) and [`rasterize_quad_into`], which writes
-//! quantised RGBA8 bytes straight into a target buffer, can fan the work
-//! out over a [`std::thread::scope`] worker pool, and can execute on
-//! either tier of the fragment engine according to an [`ExecConfig`]:
+//! Every draw the context issues runs through one path: a [`DrawPlan`]
+//! captures everything a draw sets up that does not depend on the
+//! framebuffer contents — the (possibly specialised) shader, the column
+//! table, and per-worker engine seats — and [`execute_plan`] dispatches it
+//! over the context's persistent worker pool with work-stealing chunk
+//! claiming (inline on the caller at one thread). The context caches
+//! plans so repeated draws skip that setup, or builds a transient one per
+//! draw when the cache is off. Chunk→bytes assignment is index-based and
+//! disjoint, so the stealing schedule is byte-for-byte invisible.
+//!
+//! A plan's seats run on either tier of the fragment engine:
 //!
 //! * [`Engine::Scalar`] — the original per-fragment interpreter
 //!   ([`ExecCore`], the state of [`mgpu_shader::Executor`]) over the
 //!   unmodified shader: the reference;
 //! * [`Engine::Compiled`] — the shader is first specialised against the
 //!   bound uniforms ([`mgpu_shader::specialize`], unless specialisation
-//!   is off), lowered once per draw into a [`CompiledProgram`] shared by
-//!   every worker, then executed in [`LANES`]-wide batches.
+//!   is off), lowered once per plan into a [`CompiledProgram`] shared by
+//!   every seat, then executed in [`LANES`]-wide batches.
 //!
 //! Both tiers share one interpolation scheme: a per-column table of the
 //! horizontal lerps (which depend only on `x`), finished per fragment with
 //! the vertical lerp — the exact f32 expressions of [`interpolate`], just
 //! hoisted, so every engine/thread-count combination is byte-for-byte
-//! identical. The determinism tests at the workspace root prove it.
-//!
-//! On top of the per-draw entry points sits the **planned** path the
-//! context uses when its persistent pool is enabled: a [`DrawPlan`]
-//! captures everything a draw sets up that does not depend on the
-//! framebuffer contents — the (possibly specialised) shader, the column
-//! table, and per-worker engine seats — so repeated draws can skip that
-//! setup, and [`execute_plan`] dispatches it over the context's
-//! [`WorkerPool`] with work-stealing chunk claiming instead of per-draw
-//! thread spawning. Chunk→bytes assignment is index-based and disjoint,
-//! so the stealing schedule is byte-for-byte invisible.
+//! identical. The closure-based [`rasterize_quad`] runs the scalar tier
+//! serially and is the oracle the tests hold plans against; the
+//! determinism tests at the workspace root prove the rest.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread;
 
 use mgpu_shader::ir::Shader;
 use mgpu_shader::{
     specialize, CompiledCore, CompiledProgram, ExecCore, ExecError, Sampler, UniformValues, LANES,
 };
 
-use crate::exec::{Engine, ExecConfig, CHUNK_ROWS};
+use crate::exec::{Engine, CHUNK_ROWS};
 use crate::pool::Executor as PoolExecutor;
 
 /// Corner values for one varying, in the order: (0,0), (1,0), (0,1), (1,1)
@@ -158,186 +155,17 @@ pub fn rasterize_quad(
     )
 }
 
-/// A writable pixel buffer for [`rasterize_quad_into`].
+/// A writable pixel buffer for the plan executor.
 #[derive(Debug)]
-pub struct RasterTarget<'a> {
+pub(crate) struct RasterTarget<'a> {
     /// Target width in pixels.
-    pub width: u32,
+    pub(crate) width: u32,
     /// Target height in pixels.
-    pub height: u32,
+    pub(crate) height: u32,
     /// Bytes stored per pixel (the first `channels` of the quantised RGBA).
-    pub channels: usize,
+    pub(crate) channels: usize,
     /// Row-major pixel bytes, at least `width * height * channels` long.
-    pub data: &'a mut [u8],
-}
-
-/// Runs `shader` over the target grid, writing quantised pixels directly
-/// into `target.data` — serially, or on a scoped worker pool when `exec`
-/// asks for more than one thread, on the fragment-engine tier `exec`
-/// selects. With [`Engine::Compiled`] the shader is first specialised
-/// against the bound uniforms (unless specialisation is off) and lowered,
-/// once per draw.
-///
-/// The framebuffer is cut into fixed chunks of [`CHUNK_ROWS`] rows;
-/// chunks are dealt to workers round-robin by index and each worker runs
-/// its own engine instance. No execution state is shared between workers,
-/// so the output is byte-for-byte identical to the serial path. A kernel
-/// failure (or panic) in any chunk surfaces as the error of the
-/// lowest-index failing chunk — the same error the serial path would
-/// report first.
-///
-/// # Errors
-///
-/// Returns [`ExecError`] if uniforms or samplers are missing, the corner
-/// count does not match the shader's varyings, the buffer is too small,
-/// or the kernel fails (or panics) on any fragment.
-pub fn rasterize_quad_into(
-    shader: &Shader,
-    uniforms: &UniformValues,
-    samplers: &[&dyn Sampler],
-    corners: &[VaryingCorners],
-    target: RasterTarget<'_>,
-    exec: &ExecConfig,
-) -> Result<(), ExecError> {
-    let full = target.height;
-    rasterize_quad_rows_into(shader, uniforms, samplers, corners, target, 0, full, exec)
-}
-
-/// Like [`rasterize_quad_into`], but shades only rows `y0..y1` of the
-/// target, leaving every other row's bytes untouched. Fragment positions
-/// stay global — row `y` of a band draw is bit-identical to row `y` of a
-/// full draw — so a draw split into bands reassembles the exact full-draw
-/// image. This is the primitive behind watchdog-driven draw splitting: a
-/// pass whose estimated GPU time busts the per-draw budget is re-issued as
-/// several row-band sub-draws.
-///
-/// # Errors
-///
-/// As [`rasterize_quad_into`], plus an [`ExecError`] when `y0..y1` is not
-/// a sub-range of `0..target.height`.
-#[allow(clippy::too_many_arguments)]
-pub fn rasterize_quad_rows_into(
-    shader: &Shader,
-    uniforms: &UniformValues,
-    samplers: &[&dyn Sampler],
-    corners: &[VaryingCorners],
-    target: RasterTarget<'_>,
-    y0: u32,
-    y1: u32,
-    exec: &ExecConfig,
-) -> Result<(), ExecError> {
-    check_corners(shader, corners)?;
-    let RasterTarget {
-        width,
-        height,
-        channels,
-        data,
-    } = target;
-    if y0 > y1 || y1 > height {
-        return Err(ExecError::new(format!(
-            "row band {y0}..{y1} outside target height {height}"
-        )));
-    }
-    let needed = width as usize * height as usize * channels;
-    if data.len() < needed {
-        return Err(ExecError::new(format!(
-            "target buffer holds {} bytes, {width}x{height}x{channels} needs {needed}",
-            data.len()
-        )));
-    }
-    if needed == 0 || y0 == y1 {
-        return Ok(());
-    }
-    let row_bytes = width as usize * channels;
-    let data = &mut data[y0 as usize * row_bytes..y1 as usize * row_bytes];
-    let band_rows = y1 - y0;
-
-    // Lower once per draw; every worker's seat shares the build.
-    let (specialized, lowered) = lower(shader, uniforms, exec.engine(), exec.specialization())?;
-    let shader = specialized.as_ref().unwrap_or(shader);
-    let table = ColumnTable::new(corners, width);
-    let new_seat = || FragSeat::new(shader, uniforms, &lowered, corners.len());
-
-    let n_chunks = band_rows.div_ceil(CHUNK_ROWS) as usize;
-    let threads = exec.threads().min(n_chunks);
-    if threads <= 1 {
-        let mut seat = new_seat()?;
-        return run_seat_rows(
-            &mut seat, shader, samplers, &table, height, y0, y1, channels, data,
-        );
-    }
-
-    // Deal fixed row-chunks to workers round-robin by chunk index. The
-    // assignment depends only on the target size and thread count, and
-    // every chunk's bytes are disjoint, so no synchronisation is needed.
-    let chunk_bytes = CHUNK_ROWS as usize * width as usize * channels;
-    let mut per_worker: Vec<Vec<(usize, &mut [u8])>> = (0..threads).map(|_| Vec::new()).collect();
-    for (i, slice) in data.chunks_mut(chunk_bytes).enumerate() {
-        per_worker[i % threads].push((i, slice));
-    }
-
-    let table = &table;
-    let new_seat = &new_seat;
-    let first_err = thread::scope(|s| {
-        let handles: Vec<_> = per_worker
-            .into_iter()
-            .map(|chunks| {
-                s.spawn(move || -> Option<(usize, ExecError)> {
-                    // One engine seat per worker.
-                    let mut seat = match new_seat() {
-                        Ok(seat) => seat,
-                        Err(e) => return Some((chunks.first().map_or(0, |(i, _)| *i), e)),
-                    };
-                    for (i, slice) in chunks {
-                        // Chunk indices are band-relative; rows stay global
-                        // so band draws are bit-identical to full draws.
-                        let cy0 = y0 + i as u32 * CHUNK_ROWS;
-                        let cy1 = (cy0 + CHUNK_ROWS).min(y1);
-                        // Contain panics per chunk so no unwind crosses the
-                        // scope boundary and poisons the caller.
-                        let run = catch_unwind(AssertUnwindSafe(|| {
-                            run_seat_rows(
-                                &mut seat, shader, samplers, table, height, cy0, cy1, channels,
-                                slice,
-                            )
-                        }));
-                        match run {
-                            Ok(Ok(())) => {}
-                            Ok(Err(e)) => return Some((i, e)),
-                            Err(p) => {
-                                return Some((
-                                    i,
-                                    ExecError::new(format!(
-                                        "kernel panicked: {}",
-                                        panic_message(&*p)
-                                    )),
-                                ))
-                            }
-                        }
-                    }
-                    None
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .filter_map(|h| match h.join() {
-                // Worker panics are caught per chunk; a join failure means
-                // the unwinding machinery itself broke — surface it as the
-                // lowest-priority error rather than panicking the caller.
-                Ok(result) => result,
-                Err(p) => Some((
-                    usize::MAX,
-                    ExecError::new(format!("worker thread panicked: {}", panic_message(&*p))),
-                )),
-            })
-            .min_by_key(|(i, _)| *i)
-    });
-
-    match first_err {
-        None => Ok(()),
-        Some((_, e)) => Err(e),
-    }
+    pub(crate) data: &'a mut [u8],
 }
 
 /// Extracts a printable message from a caught panic payload.
@@ -380,7 +208,7 @@ impl Lowered {
     }
 }
 
-/// The engine decision every dispatch path shares. The compiled tier
+/// The engine decision every plan shares. The compiled tier
 /// folds the bound uniforms into `source` as constants (bind-time
 /// specialisation, unless `spec` is off — `MGPU_SPEC=off` or
 /// `ExecConfig::with_specialization(false)` — in which case the lowering
@@ -405,15 +233,15 @@ fn lower(
     }
 }
 
-/// One worker's engine state, shared by every dispatch path: built on
+/// One worker's engine state: built on
 /// [`ExecCore`]/[`CompiledCore`] so it holds no shader borrow and a
 /// [`DrawPlan`] can cache it across draws.
 enum FragSeat {
     /// Per-fragment scalar interpretation.
     Scalar(ExecCore),
     /// Fused native-closure execution (boxed: large plane file). The
-    /// program is one shared build per plan (or per draw on the plan-less
-    /// path) — seats only own a plane file and staging buffers.
+    /// program is one shared build per plan — seats only own a plane file
+    /// and staging buffers.
     Compiled(Box<CompiledSeat>),
 }
 
@@ -474,9 +302,8 @@ impl FragSeat {
 }
 
 /// Runs a seat over rows `y0..y1`, quantising into `out` (which covers
-/// exactly those rows). Shared by the serial path, every scope-spawn
-/// worker and every pool participant, so all dispatch paths interpolate
-/// and execute through the same code.
+/// exactly those rows). Shared by the inline serial path and every pool
+/// participant, so both interpolate and execute through the same code.
 #[allow(clippy::too_many_arguments)]
 fn run_seat_rows(
     seat: &mut FragSeat,
@@ -755,10 +582,9 @@ fn take_slot<'a, T: ?Sized>(slot: &Mutex<Option<&'a mut T>>) -> Option<&'a mut T
 /// claim chunk indices from a shared atomic ticket. Which seat executes a
 /// chunk varies run to run, but chunk index alone determines both the rows
 /// shaded and the bytes written, and no execution state is shared between
-/// seats — so the output is byte-for-byte identical to the serial path
-/// (and to the legacy round-robin dispatch). A kernel failure or panic
-/// surfaces as the error of the lowest-index failing chunk, matching the
-/// legacy path's reporting.
+/// seats — so the output is byte-for-byte identical to the serial path.
+/// A kernel failure or panic surfaces as the error of the lowest-index
+/// failing chunk, the same error the serial path would report first.
 ///
 /// `pool` is spawned lazily on the first dispatch that actually needs
 /// workers, sized one less than `threads` (the caller occupies seat 0).
@@ -1070,49 +896,129 @@ mod tests {
         assert!(r.is_err());
     }
 
-    fn raster_bytes(
+    /// The oracle: the serial scalar reference, quantised exactly as the
+    /// output stage does.
+    fn reference_bytes(
         sh: &Shader,
-        width: u32,
-        height: u32,
-        channels: usize,
-        exec: &ExecConfig,
+        uniforms: &UniformValues,
+        w: u32,
+        h: u32,
+        ch: usize,
     ) -> Vec<u8> {
-        let mut data = vec![0u8; width as usize * height as usize * channels];
-        rasterize_quad_into(
+        let mut data = vec![0u8; w as usize * h as usize * ch];
+        let row = w as usize * ch;
+        rasterize_quad(
             sh,
-            &UniformValues::new(),
+            uniforms,
             &[],
+            w,
+            h,
             &[texcoord_corners()],
-            RasterTarget {
-                width,
-                height,
-                channels,
-                data: &mut data,
+            |x, y, rgba| {
+                let idx = y as usize * row + x as usize * ch;
+                data[idx..idx + ch].copy_from_slice(&quantize_rgba8(rgba)[..ch]);
             },
-            exec,
         )
         .unwrap();
         data
     }
 
-    #[test]
-    fn parallel_output_is_byte_identical_to_serial() {
-        let sh = compile(
-            "varying vec2 v;\n\
-             void main() { gl_FragColor = vec4(v.x, v.y, v.x * v.y, 1.0); }",
+    /// A plan for `sh` on a `w`-wide target with the texcoord quad,
+    /// specialised on the compiled tier, recycling `recycled`'s seats.
+    fn build_plan(
+        sh: &Shader,
+        uniforms: &UniformValues,
+        engine: Engine,
+        w: u32,
+        recycled: Option<DrawPlan>,
+    ) -> DrawPlan {
+        DrawPlan::build(
+            &Arc::new(sh.clone()),
+            uniforms,
+            engine,
+            engine == Engine::Compiled,
+            &[texcoord_corners()],
+            w,
+            recycled,
+        )
+        .unwrap()
+    }
+
+    fn target(w: u32, h: u32, ch: usize, data: &mut [u8]) -> RasterTarget<'_> {
+        RasterTarget {
+            width: w,
+            height: h,
+            channels: ch,
+            data,
+        }
+    }
+
+    /// One full draw through a fresh plan that recycles `plan`'s
+    /// allocations (as the cache-off context does), on `pool`.
+    #[allow(clippy::too_many_arguments)]
+    fn planned_bytes(
+        sh: &Shader,
+        uniforms: &UniformValues,
+        w: u32,
+        h: u32,
+        ch: usize,
+        engine: Engine,
+        threads: usize,
+        pool: &mut Option<PoolExecutor>,
+        plan: &mut Option<DrawPlan>,
+    ) -> Vec<u8> {
+        let mut built = build_plan(sh, uniforms, engine, w, plan.take());
+        let mut data = vec![0u8; w as usize * h as usize * ch];
+        execute_plan(
+            &mut built,
+            &[],
+            target(w, h, ch, &mut data),
+            0,
+            h,
+            threads,
+            pool,
         )
         .unwrap();
+        *plan = Some(built);
+        data
+    }
+
+    const SCALE_KERNEL: &str = "uniform float scale;\nvarying vec2 v;\n\
+         void main() {\n\
+           float a = v.x * scale + v.y;\n\
+           if (a < 1.0) { a = sqrt(a + 1.0); } else { a = a * 0.25; }\n\
+           gl_FragColor = vec4(a, fract(a * 9.0), v.x * v.y, 1.0);\n\
+         }";
+
+    fn scale_uniforms() -> UniformValues {
+        let mut uniforms = UniformValues::new();
+        uniforms.set_scalar("scale", 3.7);
+        uniforms
+    }
+
+    #[test]
+    fn parallel_output_is_byte_identical_to_serial() {
+        let sh = compile(SCALE_KERNEL).unwrap();
+        let uniforms = scale_uniforms();
+        // One pool shared across every dispatch, as the context holds it;
+        // plans recycled across draws and engines exercise seat rebinding.
+        let mut pool = None;
+        let mut plan = None;
         // Odd sizes straddle chunk boundaries; channels 3 exercises the
         // fp24 layout.
-        for &(w, h) in &[(33u32, 17u32), (64, 64), (5, 97), (1, 1)] {
+        for &(w, h) in &[(33u32, 17u32), (64, 64), (5, 97), (1, 1), (65, 40)] {
             for &ch in &[3usize, 4] {
-                let serial = raster_bytes(&sh, w, h, ch, &ExecConfig::serial());
-                for threads in [2, 4, 8] {
-                    assert_eq!(
-                        raster_bytes(&sh, w, h, ch, &ExecConfig::with_threads(threads)),
-                        serial,
-                        "{w}x{h}x{ch} at {threads} threads"
-                    );
+                let serial = reference_bytes(&sh, &uniforms, w, h, ch);
+                for engine in [Engine::Scalar, Engine::Compiled] {
+                    for threads in [1usize, 2, 4, 8] {
+                        assert_eq!(
+                            planned_bytes(
+                                &sh, &uniforms, w, h, ch, engine, threads, &mut pool, &mut plan,
+                            ),
+                            serial,
+                            "{w}x{h}x{ch} {engine:?} at {threads} threads"
+                        );
+                    }
                 }
             }
         }
@@ -1129,14 +1035,25 @@ mod tests {
              }",
         )
         .unwrap();
+        let uniforms = UniformValues::new();
+        let mut pool = None;
         // Widths around the lane count exercise full, partial and
         // multi-batch rows.
         for &(w, h) in &[(1u32, 5u32), (63, 9), (64, 3), (65, 7), (200, 11)] {
-            let scalar = raster_bytes(&sh, w, h, 4, &ExecConfig::serial());
+            let scalar = reference_bytes(&sh, &uniforms, w, h, 4);
             for threads in [1usize, 4] {
-                let cfg = ExecConfig::with_threads(threads).with_engine(Engine::Compiled);
                 assert_eq!(
-                    raster_bytes(&sh, w, h, 4, &cfg),
+                    planned_bytes(
+                        &sh,
+                        &uniforms,
+                        w,
+                        h,
+                        4,
+                        Engine::Compiled,
+                        threads,
+                        &mut pool,
+                        &mut None,
+                    ),
                     scalar,
                     "{w}x{h} compiled at {threads} threads"
                 );
@@ -1151,33 +1068,33 @@ mod tests {
              void main() { gl_FragColor = vec4(v.x, v.y, v.x * v.y, 1.0); }",
         )
         .unwrap();
-        for &(w, h) in &[(31u32, 23u32), (64, 64)] {
-            let full = raster_bytes(&sh, w, h, 4, &ExecConfig::with_threads(3));
-            for bands in [2u32, 3, 7] {
-                let mut data = vec![0u8; w as usize * h as usize * 4];
-                let rows_per = h.div_ceil(bands);
-                let mut y0 = 0;
-                while y0 < h {
-                    let y1 = (y0 + rows_per).min(h);
-                    rasterize_quad_rows_into(
-                        &sh,
-                        &UniformValues::new(),
-                        &[],
-                        &[texcoord_corners()],
-                        RasterTarget {
-                            width: w,
-                            height: h,
-                            channels: 4,
-                            data: &mut data,
-                        },
-                        y0,
-                        y1,
-                        &ExecConfig::with_threads(2),
-                    )
-                    .unwrap();
-                    y0 = y1;
+        let uniforms = UniformValues::new();
+        let mut pool = None;
+        for &(w, h) in &[(31u32, 23u32), (64, 64), (31, 46)] {
+            let full = reference_bytes(&sh, &uniforms, w, h, 4);
+            for engine in [Engine::Scalar, Engine::Compiled] {
+                // One plan serves every band: plans are band-agnostic.
+                let mut plan = build_plan(&sh, &uniforms, engine, w, None);
+                for bands in [2u32, 3, 7] {
+                    let mut data = vec![0u8; w as usize * h as usize * 4];
+                    let rows_per = h.div_ceil(bands);
+                    let mut y0 = 0;
+                    while y0 < h {
+                        let y1 = (y0 + rows_per).min(h);
+                        execute_plan(
+                            &mut plan,
+                            &[],
+                            target(w, h, 4, &mut data),
+                            y0,
+                            y1,
+                            2,
+                            &mut pool,
+                        )
+                        .unwrap();
+                        y0 = y1;
+                    }
+                    assert_eq!(data, full, "{w}x{h} {engine:?} in {bands} bands");
                 }
-                assert_eq!(data, full, "{w}x{h} in {bands} bands");
             }
         }
     }
@@ -1185,225 +1102,27 @@ mod tests {
     #[test]
     fn band_outside_target_errors() {
         let sh = compile("void main() { gl_FragColor = vec4(1.0); }").unwrap();
-        let mut data = vec![0u8; 4 * 4 * 4];
-        let r = rasterize_quad_rows_into(
-            &sh,
+        let mut plan = DrawPlan::build(
+            &Arc::new(sh),
             &UniformValues::new(),
+            Engine::Scalar,
+            false,
             &[],
-            &[],
-            RasterTarget {
-                width: 4,
-                height: 4,
-                channels: 4,
-                data: &mut data,
-            },
-            2,
-            9,
-            &ExecConfig::serial(),
-        );
-        assert!(r.unwrap_err().to_string().contains("row band"));
-    }
-
-    /// A sampler that panics on fetch: worker panics must surface as
-    /// `ExecError`, never as an unwind out of the rasteriser.
-    struct PanicSampler;
-    impl Sampler for PanicSampler {
-        fn fetch(&self, _u: f32, _v: f32) -> [f32; 4] {
-            panic!("sampler exploded")
-        }
-    }
-
-    #[test]
-    fn worker_panic_becomes_an_error() {
-        let sh = compile(
-            "uniform sampler2D t;\nvarying vec2 v;\n\
-             void main() { gl_FragColor = texture2D(t, v); }",
-        )
-        .unwrap();
-        let mut data = vec![0u8; 32 * 32 * 4];
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {})); // silence expected panics
-        let r = rasterize_quad_into(
-            &sh,
-            &UniformValues::new(),
-            &[&PanicSampler],
-            &[texcoord_corners()],
-            RasterTarget {
-                width: 32,
-                height: 32,
-                channels: 4,
-                data: &mut data,
-            },
-            &ExecConfig::with_threads(4),
-        );
-        std::panic::set_hook(prev);
-        let e = r.unwrap_err();
-        assert!(e.to_string().contains("sampler exploded"), "{e}");
-    }
-
-    #[test]
-    fn undersized_target_buffer_errors() {
-        let sh = compile("void main() { gl_FragColor = vec4(1.0); }").unwrap();
-        let mut data = vec![0u8; 7];
-        let r = rasterize_quad_into(
-            &sh,
-            &UniformValues::new(),
-            &[],
-            &[],
-            RasterTarget {
-                width: 2,
-                height: 2,
-                channels: 4,
-                data: &mut data,
-            },
-            &ExecConfig::serial(),
-        );
-        assert!(r.unwrap_err().to_string().contains("needs 16"));
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn planned_bytes(
-        sh: &Shader,
-        uniforms: &UniformValues,
-        w: u32,
-        h: u32,
-        ch: usize,
-        engine: Engine,
-        threads: usize,
-        pool: &mut Option<PoolExecutor>,
-        plan: &mut Option<DrawPlan>,
-    ) -> Vec<u8> {
-        let shader = Arc::new(sh.clone());
-        let mut built = DrawPlan::build(
-            &shader,
-            uniforms,
-            engine,
-            engine == Engine::Compiled,
-            &[texcoord_corners()],
-            w,
-            plan.take(),
-        )
-        .unwrap();
-        let mut data = vec![0u8; w as usize * h as usize * ch];
-        execute_plan(
-            &mut built,
-            &[],
-            RasterTarget {
-                width: w,
-                height: h,
-                channels: ch,
-                data: &mut data,
-            },
-            0,
-            h,
-            threads,
-            pool,
-        )
-        .unwrap();
-        *plan = Some(built);
-        data
-    }
-
-    #[test]
-    fn planned_dispatch_is_byte_identical_to_legacy() {
-        let sh = compile(
-            "uniform float scale;\nvarying vec2 v;\n\
-             void main() {\n\
-               float a = v.x * scale + v.y;\n\
-               if (a < 1.0) { a = sqrt(a + 1.0); } else { a = a * 0.25; }\n\
-               gl_FragColor = vec4(a, fract(a * 9.0), v.x * v.y, 1.0);\n\
-             }",
-        )
-        .unwrap();
-        let mut uniforms = UniformValues::new();
-        uniforms.set_scalar("scale", 3.7);
-        // One pool shared across every planned dispatch, as the context
-        // holds it; plans recycled across draws exercise seat rebinding.
-        let mut pool = None;
-        let mut plan = None;
-        for &(w, h) in &[(33u32, 17u32), (64, 64), (5, 97), (1, 1), (65, 40)] {
-            for &ch in &[3usize, 4] {
-                for engine in [Engine::Scalar, Engine::Compiled] {
-                    let mut legacy = vec![0u8; w as usize * h as usize * ch];
-                    rasterize_quad_into(
-                        &sh,
-                        &uniforms,
-                        &[],
-                        &[texcoord_corners()],
-                        RasterTarget {
-                            width: w,
-                            height: h,
-                            channels: ch,
-                            data: &mut legacy,
-                        },
-                        &ExecConfig::with_threads(4).with_engine(engine),
-                    )
-                    .unwrap();
-                    for threads in [1usize, 2, 4, 8] {
-                        assert_eq!(
-                            planned_bytes(
-                                &sh, &uniforms, w, h, ch, engine, threads, &mut pool, &mut plan,
-                            ),
-                            legacy,
-                            "{w}x{h}x{ch} {engine:?} planned at {threads} threads"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn planned_band_draws_reassemble_the_full_image() {
-        let sh = compile(
-            "varying vec2 v;\n\
-             void main() { gl_FragColor = vec4(v.x, v.y, v.x * v.y, 1.0); }",
-        )
-        .unwrap();
-        let (w, h) = (31u32, 46u32);
-        let mut pool = None;
-        let mut plan = None;
-        let full = planned_bytes(
-            &sh,
-            &UniformValues::new(),
-            w,
-            h,
             4,
-            Engine::Compiled,
-            4,
-            &mut pool,
-            &mut plan,
-        );
-        let shader = Arc::new(sh.clone());
-        let mut band_plan = DrawPlan::build(
-            &shader,
-            &UniformValues::new(),
-            Engine::Compiled,
-            true,
-            &[texcoord_corners()],
-            w,
             None,
         )
         .unwrap();
-        let mut data = vec![0u8; w as usize * h as usize * 4];
-        for (y0, y1) in [(0u32, 19u32), (19, 33), (33, 46)] {
-            execute_plan(
-                &mut band_plan,
-                &[],
-                RasterTarget {
-                    width: w,
-                    height: h,
-                    channels: 4,
-                    data: &mut data,
-                },
-                y0,
-                y1,
-                3,
-                &mut pool,
-            )
-            .unwrap();
-        }
-        assert_eq!(data, full);
+        let mut data = vec![0u8; 4 * 4 * 4];
+        let r = execute_plan(
+            &mut plan,
+            &[],
+            target(4, 4, 4, &mut data),
+            2,
+            9,
+            1,
+            &mut None,
+        );
+        assert!(r.unwrap_err().to_string().contains("row band"));
     }
 
     #[test]
@@ -1518,50 +1237,45 @@ mod tests {
         );
     }
 
+    /// A sampler that panics on fetch: worker panics must surface as
+    /// `ExecError`, never as an unwind out of the rasteriser.
+    struct PanicSampler;
+    impl Sampler for PanicSampler {
+        fn fetch(&self, _u: f32, _v: f32) -> [f32; 4] {
+            panic!("sampler exploded")
+        }
+    }
+
     #[test]
-    fn planned_panic_becomes_an_error_and_pool_survives() {
+    fn worker_panic_becomes_an_error() {
         let sh = compile(
             "uniform sampler2D t;\nvarying vec2 v;\n\
              void main() { gl_FragColor = texture2D(t, v); }",
         )
         .unwrap();
-        let shader = Arc::new(sh.clone());
-        let mut plan = DrawPlan::build(
-            &shader,
-            &UniformValues::new(),
-            Engine::Scalar,
-            false,
-            &[texcoord_corners()],
-            32,
-            None,
-        )
-        .unwrap();
         let mut pool = None;
-        let mut data = vec![0u8; 32 * 32 * 4];
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {})); // silence expected panics
-        let r = execute_plan(
-            &mut plan,
-            &[&PanicSampler],
-            RasterTarget {
-                width: 32,
-                height: 32,
-                channels: 4,
-                data: &mut data,
-            },
-            0,
-            32,
-            4,
-            &mut pool,
-        );
-        std::panic::set_hook(prev);
-        let e = r.unwrap_err();
-        assert!(e.to_string().contains("sampler exploded"), "{e}");
+        for engine in [Engine::Scalar, Engine::Compiled] {
+            let mut plan = build_plan(&sh, &UniformValues::new(), engine, 32, None);
+            let mut data = vec![0u8; 32 * 32 * 4];
+            let prev = std::panic::take_hook();
+            std::panic::set_hook(Box::new(|_| {})); // silence expected panics
+            let r = execute_plan(
+                &mut plan,
+                &[&PanicSampler],
+                target(32, 32, 4, &mut data),
+                0,
+                32,
+                4,
+                &mut pool,
+            );
+            std::panic::set_hook(prev);
+            let e = r.unwrap_err();
+            assert!(e.to_string().contains("sampler exploded"), "{e}");
+        }
 
-        // The pool and plan both stay usable after a panicked draw.
+        // The pool stays usable after a panicked draw.
         let ok =
             compile("varying vec2 v; void main() { gl_FragColor = vec4(v, 0.0, 1.0); }").unwrap();
-        let mut plan = None;
         let bytes = planned_bytes(
             &ok,
             &UniformValues::new(),
@@ -1571,24 +1285,38 @@ mod tests {
             Engine::Scalar,
             4,
             &mut pool,
-            &mut plan,
+            &mut None,
         );
-        let mut serial = vec![0u8; 32 * 32 * 4];
-        rasterize_quad_into(
-            &ok,
+        assert_eq!(
+            bytes,
+            reference_bytes(&ok, &UniformValues::new(), 32, 32, 4)
+        );
+    }
+
+    #[test]
+    fn undersized_target_buffer_errors() {
+        let sh = compile("void main() { gl_FragColor = vec4(1.0); }").unwrap();
+        let mut plan = DrawPlan::build(
+            &Arc::new(sh),
             &UniformValues::new(),
+            Engine::Scalar,
+            false,
             &[],
-            &[texcoord_corners()],
-            RasterTarget {
-                width: 32,
-                height: 32,
-                channels: 4,
-                data: &mut serial,
-            },
-            &ExecConfig::serial(),
+            2,
+            None,
         )
         .unwrap();
-        assert_eq!(bytes, serial);
+        let mut data = vec![0u8; 7];
+        let r = execute_plan(
+            &mut plan,
+            &[],
+            target(2, 2, 4, &mut data),
+            0,
+            2,
+            1,
+            &mut None,
+        );
+        assert!(r.unwrap_err().to_string().contains("needs 16"));
     }
 
     #[test]

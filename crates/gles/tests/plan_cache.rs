@@ -4,9 +4,9 @@
 //! of its key, so mutating any of them (uniforms, program, engine, target
 //! geometry, varying corners) must produce a miss, while draws that only
 //! change non-captured state (texture contents, row bands) must hit and
-//! still render correctly. A scripted mutation sequence is replayed under
-//! cache-on, cache-off and legacy-dispatch configurations and must be
-//! byte-identical throughout, with the simulated-time report unchanged.
+//! still render correctly. A scripted mutation sequence is replayed with
+//! the cache on and off, pooled and inline, and must be byte-identical
+//! throughout, with the simulated-time report unchanged.
 
 use mgpu_gles::raster::texcoord_corners;
 use mgpu_gles::{DrawQuad, Engine, ExecConfig, Gl, TextureFormat};
@@ -27,7 +27,7 @@ const SAMPLE_PROG: &str = "
 /// A pooled, plan-cached 8×8 context at 2 threads.
 fn cached_gl() -> Gl {
     let mut gl = Gl::new(Platform::videocore_iv(), 8, 8);
-    gl.set_exec_config(ExecConfig::with_threads(2).with_pool(true));
+    gl.set_exec_config(ExecConfig::with_threads(2));
     gl.set_plan_cache_enabled(true);
     gl
 }
@@ -110,11 +110,7 @@ fn engine_target_and_corners_each_rekey() {
         Engine::Compiled => Engine::Scalar,
     };
     let before_engines = gl.plan_cache_stats().misses;
-    gl.set_exec_config(
-        ExecConfig::with_threads(2)
-            .with_pool(true)
-            .with_engine(other),
-    );
+    gl.set_exec_config(ExecConfig::with_threads(2).with_engine(other));
     assert_eq!(draw(&mut gl), golden);
     let after_engines = gl.plan_cache_stats();
     assert_eq!(
@@ -317,15 +313,11 @@ fn churn_at_the_capacity_boundary_has_exact_counters() {
 fn run_script(
     platform: &Platform,
     engine: Engine,
-    pool: bool,
+    threads: usize,
     cache: bool,
 ) -> (Vec<Vec<u8>>, mgpu_tbdr::SimReport) {
     let mut gl = Gl::new(platform.clone(), 8, 8);
-    gl.set_exec_config(
-        ExecConfig::with_threads(3)
-            .with_engine(engine)
-            .with_pool(pool),
-    );
+    gl.set_exec_config(ExecConfig::with_threads(threads).with_engine(engine));
     gl.set_plan_cache_enabled(cache);
     let mut shots = Vec::new();
 
@@ -371,24 +363,24 @@ fn run_script(
     (shots, gl.report())
 }
 
-/// The headline property: for every platform × engine, the cached pooled
-/// dispatcher replays the whole mutation script byte-for-byte like the
-/// uncached pooled path *and* the legacy scope-spawn path, with identical
+/// The headline property: for every platform × engine, cached plans
+/// replay the whole mutation script byte-for-byte like transient
+/// per-draw plans, pooled at 3 threads or inline at one, with identical
 /// simulated-time reports.
 #[test]
 fn cache_is_invisible_across_the_mutation_script() {
     for platform in [Platform::videocore_iv(), Platform::sgx_545()] {
         for engine in [Engine::Scalar, Engine::Compiled] {
-            let legacy = run_script(&platform, engine, false, false);
-            let pooled = run_script(&platform, engine, true, false);
-            let cached = run_script(&platform, engine, true, true);
+            let inline = run_script(&platform, engine, 1, false);
+            let pooled = run_script(&platform, engine, 3, false);
+            let cached = run_script(&platform, engine, 3, true);
             assert_eq!(
-                pooled, legacy,
+                pooled, inline,
                 "pooled dispatch diverged ({engine:?} on {})",
                 platform.name
             );
             assert_eq!(
-                cached, legacy,
+                cached, inline,
                 "plan cache changed output ({engine:?} on {})",
                 platform.name
             );

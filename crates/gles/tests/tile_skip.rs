@@ -273,15 +273,15 @@ fn skip_off_contexts_never_record_stats() {
 }
 
 /// Replays a mutation script and snapshots every draw, at one skip
-/// setting and dispatcher.
-fn run_script(platform: &Platform, engine: Engine, pool: bool, skip: bool) -> Vec<Vec<u8>> {
+/// setting and plan-cache setting.
+fn run_script(platform: &Platform, engine: Engine, cache: bool, skip: bool) -> Vec<Vec<u8>> {
     let mut gl = Gl::new(platform.clone(), 32, 32);
     gl.set_exec_config(
         ExecConfig::with_threads(3)
             .with_engine(engine)
-            .with_pool(pool)
             .with_tile_skip(skip),
     );
+    gl.set_plan_cache_enabled(cache);
     let mut shots = Vec::new();
 
     let scale = gl.create_program(SCALE_PROG).expect("compiles");
@@ -327,7 +327,7 @@ fn run_script(platform: &Platform, engine: Engine, pool: bool, skip: bool) -> Ve
     shots
 }
 
-/// The headline property: for every platform × engine × dispatcher, the
+/// The headline property: for every platform × engine × plan cache, the
 /// skipping run replays the whole mutation script byte-for-byte like the
 /// skip-off run. (Simulated reports legitimately differ — that is the
 /// optimisation — so only pixels are compared here; report grouping is
@@ -336,12 +336,12 @@ fn run_script(platform: &Platform, engine: Engine, pool: bool, skip: bool) -> Ve
 fn skip_is_pixel_invisible_across_the_mutation_script() {
     for platform in [Platform::videocore_iv(), Platform::sgx_545()] {
         for engine in [Engine::Scalar, Engine::Compiled] {
-            for pool in [false, true] {
-                let plain = run_script(&platform, engine, pool, false);
-                let skipping = run_script(&platform, engine, pool, true);
+            for cache in [false, true] {
+                let plain = run_script(&platform, engine, cache, false);
+                let skipping = run_script(&platform, engine, cache, true);
                 assert_eq!(
                     skipping, plain,
-                    "tile skip changed pixels ({engine:?}, pool={pool} on {})",
+                    "tile skip changed pixels ({engine:?}, cache={cache} on {})",
                     platform.name
                 );
             }

@@ -76,11 +76,6 @@ pub struct OptConfig {
     /// context's setting — `MGPU_ENGINE` or the compiled default). Like
     /// `threads`, purely a wall-clock knob: both engines are bit-exact.
     pub engine: Option<Engine>,
-    /// Pooled dispatch with draw-plan caching vs the legacy per-draw
-    /// `thread::scope` path (`None` keeps the context's setting —
-    /// `MGPU_POOL` or pooled by default). Like `threads`, purely a
-    /// wall-clock knob: both dispatchers are bit-exact.
-    pub pool: Option<bool>,
     /// Bind-time uniform specialisation on the compiled tier (`None` keeps
     /// the context's setting — `MGPU_SPEC` or on by default). Like
     /// `threads`, purely a wall-clock knob: spec-on and spec-off are
@@ -110,7 +105,6 @@ impl OptConfig {
             mad_fusion: true,
             threads: None,
             engine: None,
-            pool: None,
             spec: None,
             tile_skip: None,
         }
@@ -194,11 +188,11 @@ impl OptConfig {
         self
     }
 
-    /// Pins the dispatcher: pooled + plan-cached (`true`) or the legacy
-    /// per-draw scope-spawn path (`false`).
+    /// No-op, kept only for the repository benchmark, which still calls
+    /// it: draws have a single dispatcher, so there is nothing to pin.
+    /// Returns `self` unchanged.
     #[must_use]
-    pub fn with_pool(mut self, pool: bool) -> Self {
-        self.pool = Some(pool);
+    pub fn with_pool(self, _pool: bool) -> Self {
         self
     }
 

@@ -60,7 +60,6 @@ pub(crate) fn apply_setup(gl: &mut Gl, cfg: &OptConfig) {
     }
     if cfg.threads.is_some()
         || cfg.engine.is_some()
-        || cfg.pool.is_some()
         || cfg.spec.is_some()
         || cfg.tile_skip.is_some()
     {
@@ -72,9 +71,6 @@ pub(crate) fn apply_setup(gl: &mut Gl, cfg: &OptConfig) {
         }
         if let Some(engine) = cfg.engine {
             exec = exec.with_engine(engine);
-        }
-        if let Some(pool) = cfg.pool {
-            exec = exec.with_pool(pool);
         }
         if let Some(spec) = cfg.spec {
             exec = exec.with_specialization(spec);

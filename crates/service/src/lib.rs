@@ -56,4 +56,4 @@ pub use fleet::{FleetService, JobRecord, ServiceConfig, ServiceStats};
 pub use isolation::{check_isolation, check_service_isolation, IsolationDivergence};
 pub use knobs::{BREAKER_ENV, DEVICES_ENV, QUEUE_DEPTH_ENV, SEED_ENV};
 pub use queue::{JobId, TenantId};
-pub use spec::JobSpec;
+pub use spec::{JobSpec, MAX_SPEC_EDGE, MAX_SPEC_ITERATIONS};

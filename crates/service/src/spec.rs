@@ -10,6 +10,17 @@ use mgpu_workloads::{DenseTraining, GaussianPyramid, JacobiInpaint, WorkloadJob}
 
 use crate::error::ServiceError;
 
+/// Largest matrix, image or grid edge a spec may ask for: the paper's
+/// largest problem size. Inputs grow with `n²` and are generated inside
+/// the shared service, so an unbounded edge lets one tenant's request
+/// exhaust the process's memory (or overflow the input length).
+pub const MAX_SPEC_EDGE: u32 = 1024;
+
+/// Largest iteration or step count a spec may ask for: the paper's
+/// 10 000-iteration measurement protocol. Bounds the device time one job
+/// can hold.
+pub const MAX_SPEC_ITERATIONS: u32 = 10_000;
+
 /// A tenant-submitted job shape. Costs (for fair scheduling) and inputs
 /// (for execution and for the isolation re-run) both derive from the
 /// spec plus a seed — a spec is pure data and can be replayed anywhere.
@@ -98,9 +109,22 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::Config`] for zero sizes or a block that does not
-    /// divide `n`.
+    /// [`ServiceError::Config`] for zero sizes, a block that does not
+    /// divide `n`, or an edge or iteration/step count past
+    /// [`MAX_SPEC_EDGE`] / [`MAX_SPEC_ITERATIONS`].
     pub fn validate(&self) -> Result<(), ServiceError> {
+        let (n, repeats) = match *self {
+            JobSpec::Sum { n, iterations } | JobSpec::Jacobi { n, iterations } => (n, iterations),
+            JobSpec::Train { n, steps, .. } => (n, steps),
+            JobSpec::Sgemm { n, .. } | JobSpec::Pyramid { n, .. } => (n, 1),
+        };
+        if n > MAX_SPEC_EDGE || repeats > MAX_SPEC_ITERATIONS {
+            return Err(ServiceError::Config(format!(
+                "{} exceeds the spec caps: n <= {MAX_SPEC_EDGE}, \
+                 iterations and steps <= {MAX_SPEC_ITERATIONS}",
+                self.label()
+            )));
+        }
         match *self {
             JobSpec::Sum { n, iterations } => {
                 if n == 0 || iterations == 0 {
@@ -280,6 +304,71 @@ mod tests {
         }
         .validate()
         .is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_sizes_past_the_caps() {
+        let over = MAX_SPEC_EDGE + 1;
+        let too_many = MAX_SPEC_ITERATIONS + 1;
+        for spec in [
+            // Admitted, this one would panic with "capacity overflow" in
+            // `random_inputs(n * n)` at dispatch.
+            JobSpec::Sum {
+                n: u32::MAX,
+                iterations: 1,
+            },
+            JobSpec::Sum {
+                n: over,
+                iterations: 1,
+            },
+            JobSpec::Sum {
+                n: 8,
+                iterations: too_many,
+            },
+            JobSpec::Sgemm { n: 2048, block: 16 },
+            JobSpec::Pyramid { n: 2048, levels: 2 },
+            JobSpec::Jacobi {
+                n: over,
+                iterations: 1,
+            },
+            JobSpec::Jacobi {
+                n: 8,
+                iterations: u32::MAX,
+            },
+            JobSpec::Train {
+                n: 2048,
+                block: 2048,
+                steps: 1,
+            },
+            JobSpec::Train {
+                n: 8,
+                block: 4,
+                steps: too_many,
+            },
+        ] {
+            assert!(
+                matches!(spec.validate(), Err(ServiceError::Config(_))),
+                "{spec:?} must be rejected"
+            );
+        }
+        // The caps themselves are admissible.
+        for spec in [
+            JobSpec::Sum {
+                n: MAX_SPEC_EDGE,
+                iterations: MAX_SPEC_ITERATIONS,
+            },
+            JobSpec::Sgemm {
+                n: MAX_SPEC_EDGE,
+                block: 16,
+            },
+            JobSpec::Train {
+                n: MAX_SPEC_EDGE,
+                block: MAX_SPEC_EDGE,
+                steps: MAX_SPEC_ITERATIONS,
+            },
+        ] {
+            assert!(spec.validate().is_ok(), "{spec:?} must be admitted");
+        }
     }
 
     #[test]

@@ -290,6 +290,17 @@ fn unknown_tenant_and_bad_specs_are_typed() {
         Err(ServiceError::Config(_))
     ));
 
+    // Oversized shapes are refused at admission: dispatching this one
+    // would generate 2^64 - 2^33 + 1 inputs inside the shared service.
+    let huge = JobSpec::Sum {
+        n: u32::MAX,
+        iterations: 1,
+    };
+    assert!(matches!(
+        service.submit(tenant, huge, SimTime::ZERO, None),
+        Err(ServiceError::Config(_))
+    ));
+
     // Out-of-order arrivals are a config error, not silent reordering.
     service
         .submit(tenant, SUM, SimTime::from_millis(2), None)

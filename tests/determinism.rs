@@ -28,11 +28,21 @@ fn inputs(n: u32) -> (Vec<f32>, Vec<f32>) {
     (a, b)
 }
 
-fn run_sum(platform: &Platform, exec: ExecConfig) -> Golden {
-    let n = 32;
-    let (a, b) = inputs(n);
+/// A context running `exec`, with the draw-plan cache pinned when
+/// `plan_cache` is `Some` (`None` keeps the `MGPU_PLAN_CACHE` default).
+fn context(platform: &Platform, n: u32, exec: ExecConfig, plan_cache: Option<bool>) -> Gl {
     let mut gl = Gl::new(platform.clone(), n, n);
     gl.set_exec_config(exec);
+    if let Some(enabled) = plan_cache {
+        gl.set_plan_cache_enabled(enabled);
+    }
+    gl
+}
+
+fn run_sum(platform: &Platform, exec: ExecConfig, plan_cache: Option<bool>) -> Golden {
+    let n = 32;
+    let (a, b) = inputs(n);
+    let mut gl = context(platform, n, exec, plan_cache);
     let cfg = OptConfig::baseline().without_swap();
     let mut sum = Sum::builder(n)
         .build(&mut gl, &cfg, &a, &b)
@@ -53,11 +63,10 @@ fn run_sum(platform: &Platform, exec: ExecConfig) -> Golden {
     }
 }
 
-fn run_sgemm(platform: &Platform, exec: ExecConfig) -> Golden {
+fn run_sgemm(platform: &Platform, exec: ExecConfig, plan_cache: Option<bool>) -> Golden {
     let n = 32;
     let (a, b) = inputs(n);
-    let mut gl = Gl::new(platform.clone(), n, n);
-    gl.set_exec_config(exec);
+    let mut gl = context(platform, n, exec, plan_cache);
     let cfg = OptConfig::baseline().with_swap_interval_0();
     let mut sgemm = Sgemm::new(&mut gl, &cfg, n, 16, &a, &b).expect("builds");
     sgemm.multiply(&mut gl).expect("multiplies");
@@ -79,10 +88,10 @@ fn run_sgemm(platform: &Platform, exec: ExecConfig) -> Golden {
 #[test]
 fn sum_is_byte_identical_across_thread_counts() {
     for platform in [Platform::videocore_iv(), Platform::sgx_545()] {
-        let serial = run_sum(&platform, ExecConfig::with_threads(1));
+        let serial = run_sum(&platform, ExecConfig::with_threads(1), None);
         assert!(!serial.pixels.is_empty());
         for threads in [2, 4, 8] {
-            let parallel = run_sum(&platform, ExecConfig::with_threads(threads));
+            let parallel = run_sum(&platform, ExecConfig::with_threads(threads), None);
             assert_eq!(
                 parallel, serial,
                 "sum diverged at {threads} threads on {}",
@@ -95,10 +104,10 @@ fn sum_is_byte_identical_across_thread_counts() {
 #[test]
 fn sgemm_block_16_is_byte_identical_across_thread_counts() {
     for platform in [Platform::videocore_iv(), Platform::sgx_545()] {
-        let serial = run_sgemm(&platform, ExecConfig::with_threads(1));
+        let serial = run_sgemm(&platform, ExecConfig::with_threads(1), None);
         assert!(!serial.pixels.is_empty());
         for threads in [2, 4, 8] {
-            let parallel = run_sgemm(&platform, ExecConfig::with_threads(threads));
+            let parallel = run_sgemm(&platform, ExecConfig::with_threads(threads), None);
             assert_eq!(
                 parallel, serial,
                 "sgemm diverged at {threads} threads on {}",
@@ -115,19 +124,19 @@ fn sgemm_block_16_is_byte_identical_across_thread_counts() {
 #[test]
 fn engines_are_byte_identical_across_thread_counts() {
     for platform in [Platform::videocore_iv(), Platform::sgx_545()] {
-        let golden_sum = run_sum(&platform, ExecConfig::serial());
-        let golden_sgemm = run_sgemm(&platform, ExecConfig::serial());
+        let golden_sum = run_sum(&platform, ExecConfig::serial(), None);
+        let golden_sgemm = run_sgemm(&platform, ExecConfig::serial(), None);
         for threads in [1, 4] {
             for engine in [Engine::Scalar, Engine::Compiled] {
                 let exec = ExecConfig::with_threads(threads).with_engine(engine);
                 assert_eq!(
-                    run_sum(&platform, exec),
+                    run_sum(&platform, exec, None),
                     golden_sum,
                     "sum diverged with {engine:?} at {threads} threads on {}",
                     platform.name
                 );
                 assert_eq!(
-                    run_sgemm(&platform, exec),
+                    run_sgemm(&platform, exec, None),
                     golden_sgemm,
                     "sgemm diverged with {engine:?} at {threads} threads on {}",
                     platform.name
@@ -137,32 +146,30 @@ fn engines_are_byte_identical_across_thread_counts() {
     }
 }
 
-/// The golden matrix for the persistent-pool dispatcher: pooled
-/// (work-stealing + plan cache) and legacy (per-draw scope-spawn)
-/// execution produce one identical `Golden` across every thread count,
-/// engine tier and platform. This is the PR's headline invariant — the
-/// dispatcher is purely a wall-clock knob.
+/// The golden matrix for the plan executor: cached plans and transient
+/// per-draw plans (recycled allocations, cache off) produce one identical
+/// `Golden` — pixels, result bits and simulated-time report — across
+/// every thread count, engine tier and platform, matching the serial
+/// scalar reference. Plan caching is purely a wall-clock knob.
 #[test]
-fn pooled_dispatch_matches_the_legacy_path_exactly() {
+fn plan_caching_matches_the_serial_reference_exactly() {
     for platform in [Platform::videocore_iv(), Platform::sgx_545()] {
-        let golden_sum = run_sum(&platform, ExecConfig::serial());
-        let golden_sgemm = run_sgemm(&platform, ExecConfig::serial());
+        let golden_sum = run_sum(&platform, ExecConfig::serial(), Some(false));
+        let golden_sgemm = run_sgemm(&platform, ExecConfig::serial(), Some(false));
         for threads in [1, 2, 4, 8] {
             for engine in [Engine::Scalar, Engine::Compiled] {
-                for pool in [false, true] {
-                    let exec = ExecConfig::with_threads(threads)
-                        .with_engine(engine)
-                        .with_pool(pool);
+                for cache in [false, true] {
+                    let exec = ExecConfig::with_threads(threads).with_engine(engine);
                     assert_eq!(
-                        run_sum(&platform, exec),
+                        run_sum(&platform, exec, Some(cache)),
                         golden_sum,
-                        "sum diverged (pool={pool}, {engine:?}, {threads} threads) on {}",
+                        "sum diverged (cache={cache}, {engine:?}, {threads} threads) on {}",
                         platform.name
                     );
                     assert_eq!(
-                        run_sgemm(&platform, exec),
+                        run_sgemm(&platform, exec, Some(cache)),
                         golden_sgemm,
-                        "sgemm diverged (pool={pool}, {engine:?}, {threads} threads) on {}",
+                        "sgemm diverged (cache={cache}, {engine:?}, {threads} threads) on {}",
                         platform.name
                     );
                 }
@@ -176,17 +183,17 @@ fn pooled_dispatch_matches_the_legacy_path_exactly() {
 /// shading for signature traffic in the cost model. So the matrix splits
 /// in two: skip-on pixels and result bits must match the serial skip-off
 /// golden everywhere, while the skip-on *report*, which legitimately
-/// differs from skip-off, must itself be one golden across every
-/// dispatcher, engine tier and thread count — the skip decision is
+/// differs from skip-off, must itself be one golden across plan caching,
+/// engine tier and thread count — the skip decision is
 /// execution-invariant.
 #[test]
 fn tile_skip_is_byte_identical_and_its_report_is_execution_invariant() {
     for platform in [Platform::videocore_iv(), Platform::sgx_545()] {
-        let golden_sum = run_sum(&platform, ExecConfig::serial());
-        let golden_sgemm = run_sgemm(&platform, ExecConfig::serial());
+        let golden_sum = run_sum(&platform, ExecConfig::serial(), None);
+        let golden_sgemm = run_sgemm(&platform, ExecConfig::serial(), None);
         let skip = ExecConfig::serial().with_tile_skip(true);
-        let skip_sum = run_sum(&platform, skip);
-        let skip_sgemm = run_sgemm(&platform, skip);
+        let skip_sum = run_sum(&platform, skip, None);
+        let skip_sgemm = run_sgemm(&platform, skip, None);
         assert_eq!(skip_sum.pixels, golden_sum.pixels);
         assert_eq!(skip_sum.result_bits, golden_sum.result_bits);
         assert_eq!(skip_sgemm.pixels, golden_sgemm.pixels);
@@ -194,21 +201,20 @@ fn tile_skip_is_byte_identical_and_its_report_is_execution_invariant() {
 
         for threads in [1, 4] {
             for engine in [Engine::Scalar, Engine::Compiled] {
-                for pool in [false, true] {
+                for cache in [false, true] {
                     let exec = ExecConfig::with_threads(threads)
                         .with_engine(engine)
-                        .with_pool(pool)
                         .with_tile_skip(true);
                     assert_eq!(
-                        run_sum(&platform, exec),
+                        run_sum(&platform, exec, Some(cache)),
                         skip_sum,
-                        "skip-on sum diverged (pool={pool}, {engine:?}, {threads} threads) on {}",
+                        "skip-on sum diverged (cache={cache}, {engine:?}, {threads} threads) on {}",
                         platform.name
                     );
                     assert_eq!(
-                        run_sgemm(&platform, exec),
+                        run_sgemm(&platform, exec, Some(cache)),
                         skip_sgemm,
-                        "skip-on sgemm diverged (pool={pool}, {engine:?}, {threads} threads) on {}",
+                        "skip-on sgemm diverged (cache={cache}, {engine:?}, {threads} threads) on {}",
                         platform.name
                     );
                 }
