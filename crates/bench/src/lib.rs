@@ -5,8 +5,8 @@
 //! plumbing in [`setup`], and plain-text table rendering in [`table`].
 //!
 //! Binaries (`cargo run -p mgpu-bench --bin figN`) print the paper-style
-//! rows; the bench targets (`cargo bench -p mgpu-bench`) wrap the same
-//! functions in the in-tree [`harness`].
+//! rows; the `ablations` bench target (`cargo bench -p mgpu-bench`) runs
+//! the ablation studies in the in-tree [`harness`].
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

@@ -578,6 +578,13 @@ impl Gl {
     /// Enables or disables functional pixel execution. With it off, only
     /// the timing model runs — how the benchmark harness simulates the
     /// paper's 10 000-iteration protocol at full 1024×1024 size cheaply.
+    ///
+    /// A timing-only context stores no texel bytes, so textures allocated
+    /// or filled while it is off hold no contents, and operators built on
+    /// a timing-only context stay timing-only. Turning execution back on
+    /// does not give them contents: a draw that samples or renders into
+    /// such a texture, or a copy out of one, fails with
+    /// [`GlError::InvalidOperation`] naming it.
     pub fn set_functional(&mut self, functional: bool) {
         self.functional = functional;
     }
@@ -1278,6 +1285,25 @@ impl Gl {
             .and_then(|f| f.color)
     }
 
+    /// Checks that `tex` holds all `width * height * channels` of its
+    /// bytes before functional work reads or writes them. Storage
+    /// allocated or filled on a timing-only context holds none.
+    fn require_contents(&self, tex: TextureId, role: &str) -> Result<(), GlError> {
+        let t = self
+            .textures
+            .get(&tex.0)
+            .ok_or_else(|| GlError::UnknownObject(tex.to_string()))?;
+        let expected = t.width as usize * t.height as usize * t.format.channels();
+        if t.data.len() != expected {
+            return Err(GlError::InvalidOperation(format!(
+                "{role} {tex} holds {} of its {expected} bytes: its storage was \
+                 uploaded while the context was timing-only (set_functional(false))",
+                t.data.len()
+            )));
+        }
+        Ok(())
+    }
+
     // ---- rendering ---------------------------------------------------------
 
     /// `glClear`: fills the current target and — crucially on a TBDR GPU —
@@ -1707,6 +1733,14 @@ impl Gl {
             }
             sampler_texs.push(tex);
         }
+        for tex in &sampler_texs {
+            self.require_contents(*tex, "sampled texture")?;
+        }
+        if let TargetKey::Storage(_) = target_key {
+            if let Some(tex) = self.attachment_texture() {
+                self.require_contents(tex, "render target")?;
+            }
+        }
 
         // Tile-redundancy elimination (`MGPU_TILE_SKIP=on`): classify the
         // kernel's fetches and pre-compute the memoised whole-texture
@@ -1962,6 +1996,7 @@ impl Gl {
                 TargetKey::Surface(s) => self.surfaces[s as usize].clone(),
                 TargetKey::Storage(_) => {
                     let tex = attachment(self)?;
+                    self.require_contents(tex, "copy source")?;
                     self.textures[&tex.0].data.clone()
                 }
             })
@@ -2210,6 +2245,6 @@ impl Gl {
     /// Simulated time elapsed so far.
     #[must_use]
     pub fn elapsed(&self) -> SimTime {
-        self.sim.report().total_time
+        self.sim.total_time()
     }
 }

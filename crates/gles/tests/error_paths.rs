@@ -173,3 +173,53 @@ fn oversized_surface_is_a_typed_error_not_a_panic() {
     }
     assert_still_usable(&mut gl_with_threads(1));
 }
+
+#[test]
+fn storage_uploaded_timing_only_is_a_typed_error_in_functional_work() {
+    let mut gl = gl_with_threads(1);
+    let prog = gl.create_program(COPY_PROG).unwrap();
+    gl.set_functional(false);
+    let src = gl.create_texture();
+    let dst = gl.create_texture();
+    let data = vec![7u8; 8 * 8 * 4];
+    gl.tex_image_2d(src, 8, 8, TextureFormat::Rgba8, Some(&data))
+        .unwrap();
+    gl.tex_image_2d(dst, 8, 8, TextureFormat::Rgba8, None)
+        .unwrap();
+    gl.set_functional(true);
+    let fbo = gl.create_framebuffer();
+    gl.bind_framebuffer(Some(fbo)).unwrap();
+    gl.use_program(Some(prog)).unwrap();
+    gl.bind_texture(0, Some(src)).unwrap();
+    let expect_named = |err: GlError, tex: &str| match err {
+        GlError::InvalidOperation(msg) => {
+            assert!(msg.contains(tex), "{msg}");
+            assert!(msg.contains("timing-only"), "{msg}");
+            assert!(!msg.contains("panicked"), "{msg}");
+        }
+        e => panic!("expected InvalidOperation, got {e}"),
+    };
+
+    // Sampling the empty texture.
+    gl.framebuffer_texture_2d(dst).unwrap();
+    let err = gl.draw_quad(&DrawQuad::fullscreen()).unwrap_err();
+    expect_named(err, &src.to_string());
+    // Rendering into one, once the sampled texture has its contents.
+    gl.tex_image_2d(src, 8, 8, TextureFormat::Rgba8, Some(&data))
+        .unwrap();
+    let err = gl.draw_quad(&DrawQuad::fullscreen()).unwrap_err();
+    expect_named(err, &dst.to_string());
+    // Copying out of one.
+    let copy = gl.create_texture();
+    let err = gl
+        .copy_tex_image_2d(copy, TextureFormat::Rgba8)
+        .unwrap_err();
+    expect_named(err, &dst.to_string());
+
+    // Functional storage for the target makes the same draw work.
+    gl.tex_image_2d(dst, 8, 8, TextureFormat::Rgba8, None)
+        .unwrap();
+    gl.draw_quad(&DrawQuad::fullscreen()).unwrap();
+    assert_eq!(gl.read_texture(dst).unwrap(), data);
+    assert_still_usable(&mut gl);
+}

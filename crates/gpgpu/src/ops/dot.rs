@@ -13,7 +13,9 @@ use crate::config::OptConfig;
 use crate::encoding::Range;
 use crate::error::GpgpuError;
 use crate::kernels::hadamard_kernel;
-use crate::ops::{apply_setup, check_size, convert_cost, end_pass, quad_for, vbo_for, Reduction};
+use crate::ops::{
+    apply_setup, check_size, convert_cost, encode_for, end_pass, quad_for, vbo_for, Reduction,
+};
 
 /// Computes `dot(X, Y) = Σ xᵢ·yᵢ` over `n`×`n` encoded matrices on the
 /// GPU.
@@ -80,8 +82,8 @@ impl DotProduct {
         gl.set_sampler(prog, "u_b", 1)?;
         apply_setup(gl, cfg);
 
-        let ex = enc.encode(x, &Range::unit());
-        let ey = enc.encode(y, &Range::unit());
+        let ex = encode_for(gl, enc, x, &Range::unit());
+        let ey = encode_for(gl, enc, y, &Range::unit());
         gl.add_cpu_work(convert_cost((ex.len() + ey.len()) as u64));
         let tex_x = gl.create_texture();
         let tex_y = gl.create_texture();
@@ -114,7 +116,7 @@ impl DotProduct {
     }
 
     /// Runs the multiply pass and the reduction, returning the inner
-    /// product.
+    /// product (NaN on a timing-only context, which computes no value).
     ///
     /// # Errors
     ///

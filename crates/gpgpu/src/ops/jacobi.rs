@@ -14,7 +14,9 @@ use crate::config::OptConfig;
 use crate::encoding::Range;
 use crate::error::GpgpuError;
 use crate::kernels::jacobi_kernel;
-use crate::ops::{apply_setup, check_size, convert_cost, quad_for, vbo_for, OutputChain};
+use crate::ops::{
+    apply_setup, check_size, convert_cost, encode_for, quad_for, vbo_for, OutputChain,
+};
 
 /// Solves `∇²u = -f` on an `n`×`n` grid with zero-flux boundaries by
 /// weighted-Jacobi iteration.
@@ -121,8 +123,8 @@ impl JacobiBuilder {
         gl.set_uniform_scalar(prog, "u_texel", 1.0 / self.n as f32)?;
         apply_setup(gl, cfg);
 
-        let encoded_u = enc.encode(u0, &self.range_u);
-        let encoded_f = enc.encode(f, &self.range_f);
+        let encoded_u = encode_for(gl, enc, u0, &self.range_u);
+        let encoded_f = encode_for(gl, enc, f, &self.range_f);
         gl.add_cpu_work(convert_cost((encoded_u.len() + encoded_f.len()) as u64));
         let tex_f = gl.create_texture();
         gl.tex_image_2d(
@@ -194,8 +196,7 @@ impl JacobiSolver {
     ///
     /// Propagates GL failures.
     pub fn solution(&mut self, gl: &mut Gl) -> Result<Vec<f32>, GpgpuError> {
-        let bytes = self.chain.read_latest(gl)?;
-        gl.add_cpu_work(convert_cost(bytes.len() as u64));
+        let bytes = self.chain.read_latest_for_decode(gl)?;
         Ok(self.cfg.encoding.decode(&bytes, &self.range_u))
     }
 }

@@ -36,6 +36,7 @@ use mgpu_gles::{DrawQuad, Gl, GlError, TextureFormat, TextureId};
 use mgpu_tbdr::SimTime;
 
 use crate::config::{OptConfig, RenderStrategy, SyncStrategy, VertexStrategy};
+use crate::encoding::{Encoding, Range};
 use crate::error::GpgpuError;
 
 /// Estimated CPU throughput of the float↔byte conversions (encode/decode),
@@ -45,6 +46,21 @@ const CONVERT_BANDWIDTH_BYTES_PER_SEC: f64 = 500.0 * 1024.0 * 1024.0;
 /// Simulated CPU time to convert `bytes` of encoded data.
 pub(crate) fn convert_cost(bytes: u64) -> SimTime {
     SimTime::from_secs_f64(bytes as f64 / CONVERT_BANDWIDTH_BYTES_PER_SEC)
+}
+
+/// The texel bytes an operator uploads for `values`: their encoding on a
+/// functional context, a zeroed buffer of the same length on a timing-only
+/// one. A timing-only context stores no texel bytes and reads only the
+/// length of what it is given, so the zeros are never looked at (and, coming
+/// from the allocator, never even touched). The length is exact because
+/// [`Encoding::encode`] is element-wise, so every simulated copy and
+/// conversion cost is the same either way.
+pub(crate) fn encode_for(gl: &Gl, enc: Encoding, values: &[f32], range: &Range) -> Vec<u8> {
+    if gl.functional() {
+        enc.encode(values, range)
+    } else {
+        vec![0u8; values.len() * enc.bytes_per_value()]
+    }
 }
 
 /// Applies the configured swap interval and host-execution threading once
@@ -259,6 +275,17 @@ impl OutputChain {
     pub(crate) fn read_latest(&self, gl: &mut Gl) -> Result<Vec<u8>, GlError> {
         gl.read_texture(self.latest())
     }
+
+    /// [`OutputChain::read_latest`] for a caller that decodes the bytes:
+    /// charges the decode by the texture's encoded size, which a
+    /// timing-only context (holding no bytes) is charged too.
+    pub(crate) fn read_latest_for_decode(&self, gl: &mut Gl) -> Result<Vec<u8>, GlError> {
+        let (width, height, format) = gl.texture_info(self.latest())?;
+        let bytes = self.read_latest(gl)?;
+        let len = u64::from(width) * u64::from(height) * format.channels() as u64;
+        gl.add_cpu_work(convert_cost(len));
+        Ok(bytes)
+    }
 }
 
 /// Validates that an operator's data size matches `n * n` and the window
@@ -271,4 +298,25 @@ pub(crate) fn check_size(gl: &Gl, n: u32, data_len: usize, what: &str) -> Result
     }
     let _ = gl;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mgpu_tbdr::Platform;
+
+    #[test]
+    fn encode_for_is_the_encoding_or_zeros_of_its_length() {
+        let values = [0.0, 0.25, 0.999, -1.0, 2.0, f32::NAN];
+        let range = Range::new(-0.5, 1.5);
+        for enc in [Encoding::Fp32, Encoding::Fp24] {
+            let want = enc.encode(&values, &range);
+            let mut gl = Gl::new(Platform::videocore_iv(), 4, 4);
+            assert_eq!(encode_for(&gl, enc, &values, &range), want);
+            gl.set_functional(false);
+            let timing_only = encode_for(&gl, enc, &values, &range);
+            assert_eq!(timing_only.len(), want.len());
+            assert!(timing_only.iter().all(|&b| b == 0));
+        }
+    }
 }

@@ -14,7 +14,7 @@ use crate::config::{OptConfig, RenderStrategy};
 use crate::encoding::Range;
 use crate::error::GpgpuError;
 use crate::kernels::reduce4_kernel;
-use crate::ops::{apply_setup, check_size, convert_cost, end_pass, quad_for, vbo_for};
+use crate::ops::{apply_setup, check_size, convert_cost, encode_for, end_pass, quad_for, vbo_for};
 
 /// Sums all elements of an `n`×`n` matrix on the GPU in `log2(n)` passes.
 ///
@@ -63,7 +63,7 @@ impl Reduction {
     pub fn new(gl: &mut Gl, cfg: &OptConfig, n: u32, data: &[f32]) -> Result<Self, GpgpuError> {
         check_size(gl, n, data.len(), "reduction input")?;
         let enc = cfg.encoding;
-        let encoded = enc.encode(data, &Range::unit());
+        let encoded = encode_for(gl, enc, data, &Range::unit());
         gl.add_cpu_work(convert_cost(encoded.len() as u64));
         let input = gl.create_texture();
         // Validate n before allocating with it.
@@ -146,7 +146,8 @@ impl Reduction {
         Range::new(0.0, (self.n as f32) * (self.n as f32))
     }
 
-    /// Runs the full reduction and returns the decoded total.
+    /// Runs the full reduction and returns the decoded total (NaN on a
+    /// timing-only context, which computes no value).
     ///
     /// # Errors
     ///
@@ -194,9 +195,12 @@ impl Reduction {
             .levels
             .last()
             .ok_or_else(|| GpgpuError::Config("reduction has no levels".to_owned()))?;
-        let bytes = gl.texture_data(last)?.to_vec();
-        gl.add_cpu_work(convert_cost(bytes.len() as u64));
+        // The last level is one texel. Its decode is charged by that
+        // encoded length, which a timing-only context (holding no bytes)
+        // is charged too.
+        gl.add_cpu_work(convert_cost(enc.bytes_per_value() as u64));
         let total_range = Range::new(0.0, 4.0f32.powi(self.passes() as i32));
-        Ok(enc.decode(&bytes, &total_range)[0])
+        let total = enc.decode(gl.texture_data(last)?, &total_range);
+        Ok(total.first().copied().unwrap_or(f32::NAN))
     }
 }

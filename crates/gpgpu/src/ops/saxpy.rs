@@ -7,7 +7,9 @@ use crate::config::OptConfig;
 use crate::encoding::Range;
 use crate::error::GpgpuError;
 use crate::kernels::saxpy_kernel;
-use crate::ops::{apply_setup, check_size, convert_cost, quad_for, vbo_for, OutputChain};
+use crate::ops::{
+    apply_setup, check_size, convert_cost, encode_for, quad_for, vbo_for, OutputChain,
+};
 
 /// `Y ← alpha·X + Y` over `n`×`n` encoded matrices. Iterating chains `Y`
 /// through the double-buffered output like the paper's multi-pass scheme.
@@ -79,8 +81,8 @@ impl Saxpy {
 
         apply_setup(gl, cfg);
 
-        let encoded_x = enc.encode(x, &range_in);
-        let encoded_y = enc.encode(y, &range_out);
+        let encoded_x = encode_for(gl, enc, x, &range_in);
+        let encoded_y = encode_for(gl, enc, y, &range_out);
         gl.add_cpu_work(convert_cost((encoded_x.len() + encoded_y.len()) as u64));
         let tex_x = gl.create_texture();
         gl.tex_image_2d(tex_x, n, n, enc.texture_format(), Some(&encoded_x))?;
@@ -122,8 +124,7 @@ impl Saxpy {
     ///
     /// Propagates GL failures.
     pub fn result(&mut self, gl: &mut Gl) -> Result<Vec<f32>, GpgpuError> {
-        let bytes = self.chain.read_latest(gl)?;
-        gl.add_cpu_work(convert_cost(bytes.len() as u64));
+        let bytes = self.chain.read_latest_for_decode(gl)?;
         Ok(self.cfg.encoding.decode(&bytes, &self.range_out))
     }
 }

@@ -5,12 +5,20 @@ use mgpu_gles::{Gl, ProgramId, TextureId};
 use mgpu_shader::OptOptions;
 
 use crate::config::OptConfig;
-use crate::encoding::Range;
+use crate::encoding::{Encoding, Range};
 use crate::error::GpgpuError;
 use crate::kernels::sgemm_kernel;
 use crate::ops::{
-    apply_setup, check_size, convert_cost, draw_banded, quad_for, vbo_for, OutputChain,
+    apply_setup, check_size, convert_cost, draw_banded, encode_for, quad_for, vbo_for, OutputChain,
 };
+
+/// The accumulator's starting contents: `range_out.lo` in each of the
+/// `n`×`n` texels. Every range maps its `lo` to 0, whose radix-255 digits
+/// are all zero in both encodings, so this is a zeroed buffer of the
+/// encoded length on functional and timing-only contexts alike.
+fn zero_seed(enc: Encoding, n: u32) -> Vec<u8> {
+    vec![0u8; (n as usize) * (n as usize) * enc.bytes_per_value()]
+}
 
 /// Blocked single-precision matrix multiply `C = A × B` over `n`×`n`
 /// encoded matrices, computed in `n / block` passes of `block`-element
@@ -119,15 +127,15 @@ impl Sgemm {
 
         apply_setup(gl, cfg);
 
-        let encoded_a = enc.encode(a, &range_in);
-        let encoded_b = enc.encode(b, &range_in);
+        let encoded_a = encode_for(gl, enc, a, &range_in);
+        let encoded_b = encode_for(gl, enc, b, &range_in);
         gl.add_cpu_work(convert_cost((encoded_a.len() + encoded_b.len()) as u64));
         let tex_a = gl.create_texture();
         let tex_b = gl.create_texture();
         gl.tex_image_2d(tex_a, n, n, enc.texture_format(), Some(&encoded_a))?;
         gl.tex_image_2d(tex_b, n, n, enc.texture_format(), Some(&encoded_b))?;
 
-        let zero_seed = enc.encode(&vec![range_out.lo; (n as usize) * (n as usize)], &range_out);
+        let zero_seed = zero_seed(enc, n);
         let chain = OutputChain::new(gl, n, enc.texture_format());
 
         let vbo = vbo_for(gl, cfg, 3)?;
@@ -235,8 +243,7 @@ impl Sgemm {
     ///
     /// Propagates GL failures.
     pub fn result(&mut self, gl: &mut Gl) -> Result<Vec<f32>, GpgpuError> {
-        let bytes = self.chain.read_latest(gl)?;
-        gl.add_cpu_work(convert_cost(bytes.len() as u64));
+        let bytes = self.chain.read_latest_for_decode(gl)?;
         Ok(self.cfg.encoding.decode(&bytes, &self.range_out))
     }
 
@@ -250,5 +257,26 @@ impl Sgemm {
     #[must_use]
     pub fn block(&self) -> u32 {
         self.block
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn zero_seed_is_the_encoded_range_floor() {
+        let n = 8u32;
+        for enc in [Encoding::Fp32, Encoding::Fp24] {
+            for range in [
+                Range::unit(),
+                Range::new(0.0, n as f32),
+                Range::new(-3.5, 7.25),
+                Range::new(-1e30, 1e30),
+            ] {
+                let want = enc.encode(&vec![range.lo; (n * n) as usize], &range);
+                assert_eq!(zero_seed(enc, n), want, "{enc:?} {range:?}");
+            }
+        }
     }
 }

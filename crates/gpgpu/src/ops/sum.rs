@@ -8,7 +8,7 @@ use crate::encoding::Range;
 use crate::error::GpgpuError;
 use crate::kernels::sum_kernel_ranges;
 use crate::ops::{
-    apply_setup, check_size, convert_cost, draw_banded, quad_for, vbo_for, OutputChain,
+    apply_setup, check_size, convert_cost, draw_banded, encode_for, quad_for, vbo_for, OutputChain,
 };
 
 /// Streaming addition `C = A + B` over `n`×`n` encoded matrices — the
@@ -135,8 +135,8 @@ impl SumBuilder {
 
         apply_setup(gl, cfg);
 
-        let encoded_a = enc.encode(a, &a_range);
-        let encoded_b = enc.encode(b, &self.range_in);
+        let encoded_a = encode_for(gl, enc, a, &a_range);
+        let encoded_b = encode_for(gl, enc, b, &self.range_in);
 
         let tex_a = gl.create_texture();
         let tex_b = gl.create_texture();
@@ -295,8 +295,7 @@ impl Sum {
     ///
     /// Propagates GL failures.
     pub fn result(&mut self, gl: &mut Gl) -> Result<Vec<f32>, GpgpuError> {
-        let bytes = self.chain.read_latest(gl)?;
-        gl.add_cpu_work(convert_cost(bytes.len() as u64));
+        let bytes = self.chain.read_latest_for_decode(gl)?;
         Ok(self.cfg.encoding.decode(&bytes, &self.range_out))
     }
 

@@ -7,7 +7,9 @@ use crate::config::OptConfig;
 use crate::encoding::Range;
 use crate::error::GpgpuError;
 use crate::kernels::transpose_kernel;
-use crate::ops::{apply_setup, check_size, convert_cost, quad_for, vbo_for, OutputChain};
+use crate::ops::{
+    apply_setup, check_size, convert_cost, encode_for, quad_for, vbo_for, OutputChain,
+};
 
 /// Transposes an `n`×`n` encoded matrix on the GPU in one pass.
 ///
@@ -60,7 +62,7 @@ impl Transpose {
         gl.set_sampler(prog, "u_src", 0)?;
         apply_setup(gl, cfg);
 
-        let encoded = enc.encode(data, &Range::unit());
+        let encoded = encode_for(gl, enc, data, &Range::unit());
         gl.add_cpu_work(convert_cost(encoded.len() as u64));
         let tex_in = gl.create_texture();
         gl.tex_image_2d(tex_in, n, n, enc.texture_format(), Some(&encoded))?;
@@ -104,8 +106,7 @@ impl Transpose {
     ///
     /// Propagates GL failures.
     pub fn result(&mut self, gl: &mut Gl, range: &Range) -> Result<Vec<f32>, GpgpuError> {
-        let bytes = self.chain.read_latest(gl)?;
-        gl.add_cpu_work(convert_cost(bytes.len() as u64));
+        let bytes = self.chain.read_latest_for_decode(gl)?;
         Ok(self.cfg.encoding.decode(&bytes, range))
     }
 }

@@ -20,7 +20,9 @@ use mgpu_shader::OptOptions;
 use crate::config::OptConfig;
 use crate::encoding::{Encoding, Range};
 use crate::error::GpgpuError;
-use crate::ops::{apply_setup, convert_cost, draw_banded, quad_for, vbo_for, OutputChain};
+use crate::ops::{
+    apply_setup, convert_cost, draw_banded, encode_for, quad_for, vbo_for, OutputChain,
+};
 
 /// What a pass binds to one of its samplers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,7 +161,7 @@ impl PipelineBuilder {
                     n = self.n
                 )));
             }
-            let encoded = enc.encode(data, range);
+            let encoded = encode_for(gl, enc, data, range);
             gl.add_cpu_work(convert_cost(encoded.len() as u64));
             let tex = gl.create_texture();
             gl.tex_image_2d(tex, self.n, self.n, enc.texture_format(), Some(&encoded))?;
@@ -261,7 +263,7 @@ impl PipelineBuilder {
                     n = self.n
                 )));
             }
-            let encoded = enc.encode(data, range);
+            let encoded = encode_for(gl, enc, data, range);
             gl.add_cpu_work(convert_cost(encoded.len() as u64));
             chain.seed(gl, &encoded)?;
             seed_bytes = Some(encoded);
@@ -556,8 +558,7 @@ impl Pipeline {
     ///
     /// Propagates GL failures.
     pub fn output(&mut self, gl: &mut Gl, range: &Range) -> Result<Vec<f32>, GpgpuError> {
-        let bytes = self.chain.read_latest(gl)?;
-        gl.add_cpu_work(convert_cost(bytes.len() as u64));
+        let bytes = self.chain.read_latest_for_decode(gl)?;
         Ok(self.cfg.encoding.decode(&bytes, range))
     }
 }

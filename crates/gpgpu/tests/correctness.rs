@@ -490,3 +490,23 @@ fn transpose_fetches_are_dependent() {
     assert_eq!(c.dependent_fetches(), 1);
     assert_eq!(c.streaming_fetches(), 0);
 }
+
+#[test]
+fn operators_built_timing_only_stay_timing_only() {
+    // Turning execution on after a timing-only build must fail the draw
+    // with a typed error naming the empty texture, never panic a worker.
+    let mut gl = Gl::new(Platform::videocore_iv(), 8, 8);
+    gl.set_functional(false);
+    let mut sum = Sum::builder(8)
+        .build(&mut gl, &OptConfig::baseline(), &[0.25; 64], &[0.5; 64])
+        .unwrap();
+    sum.step(&mut gl).unwrap();
+    gl.set_functional(true);
+    let err = sum.step(&mut gl).unwrap_err();
+    let GpgpuError::Gl(mgpu_gles::GlError::InvalidOperation(msg)) = &err else {
+        panic!("expected InvalidOperation, got {err}");
+    };
+    assert!(msg.contains("texture#"), "{msg}");
+    assert!(msg.contains("timing-only"), "{msg}");
+    assert!(!msg.contains("panicked"), "{msg}");
+}

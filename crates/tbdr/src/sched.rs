@@ -95,6 +95,9 @@ pub struct PipelineSim {
     readers: HashMap<ResourceId, SimTime>,
     prev_frag_end: SimTime,
     frames: Vec<FrameTiming>,
+    /// Running end of the simulation: the latest `retire` or
+    /// `next_cpu_free` of any frame so far.
+    total_time: SimTime,
     traffic: Traffic,
     busy: UnitBusy,
 }
@@ -115,6 +118,7 @@ impl PipelineSim {
             readers: HashMap::new(),
             prev_frag_end: SimTime::ZERO,
             frames: Vec::new(),
+            total_time: SimTime::ZERO,
             traffic: Traffic::default(),
             busy: UnitBusy::default(),
         }
@@ -216,7 +220,7 @@ impl PipelineSim {
 
     /// Schedules one frame and returns its timing.
     pub fn submit(&mut self, frame: &FrameWork) -> FrameTiming {
-        let p = self.platform.clone();
+        let p = &self.platform;
         let index = self.frames.len();
 
         // ---- CPU phase: uploads, conversions, submission --------------
@@ -455,8 +459,18 @@ impl PipelineSim {
             dependency_flush,
             vsync_wait,
         };
+        // An earlier frame's asynchronous copy can retire after later
+        // frames, so the end is a running max, not the last frame's.
+        self.total_time = self.total_time.max(retire.max(self.cpu_free));
         self.frames.push(timing.clone());
         timing
+    }
+
+    /// Simulated time of the last event so far (the report's
+    /// `total_time`), without cloning the frame history.
+    #[must_use]
+    pub fn total_time(&self) -> SimTime {
+        self.total_time
     }
 
     /// Schedules every frame in `frames` in order.
@@ -469,38 +483,24 @@ impl PipelineSim {
     /// Snapshots the report so far without ending the simulation.
     #[must_use]
     pub fn report(&self) -> SimReport {
-        let total = self
-            .frames
-            .iter()
-            .map(|f| f.retire.max(f.next_cpu_free))
-            .max()
-            .unwrap_or(SimTime::ZERO);
         SimReport {
             platform_name: self.platform.name.clone(),
             frames: self.frames.clone(),
             traffic: self.traffic,
             busy: self.busy,
-            total_time: total,
+            total_time: self.total_time,
         }
     }
 
     /// Finishes the simulation and returns the report.
     #[must_use]
     pub fn finish(self) -> SimReport {
-        // An earlier frame's asynchronous copy can retire after later
-        // frames, so the end of the simulation is the max across all frames.
-        let total = self
-            .frames
-            .iter()
-            .map(|f| f.retire.max(f.next_cpu_free))
-            .max()
-            .unwrap_or(SimTime::ZERO);
         SimReport {
-            platform_name: self.platform.name.clone(),
+            platform_name: self.platform.name,
             frames: self.frames,
             traffic: self.traffic,
             busy: self.busy,
-            total_time: total,
+            total_time: self.total_time,
         }
     }
 }

@@ -178,3 +178,50 @@ fn vsync_only_delays() {
         assert!(ta.next_cpu_free >= tb.next_cpu_free);
     });
 }
+
+/// The running `total_time()` is the latest `retire` or `next_cpu_free` of
+/// any frame so far, and the report carries it, after every submit —
+/// including streams where an earlier frame's large copy retires after
+/// later frames, so the end is not the last frame's.
+#[test]
+fn running_total_time_is_the_latest_frame_end() {
+    let mut outlived = 0;
+    run_cases(256, |rng| {
+        let platform = if rng.bool() {
+            Platform::videocore_iv()
+        } else {
+            Platform::sgx_545()
+        };
+        let mut sim = PipelineSim::new(platform);
+        assert_eq!(sim.total_time(), SimTime::ZERO);
+        for _ in 0..rng.usize_in(1, 20) {
+            let mut f = gen_frame(rng);
+            if rng.u32_in(0, 4) == 0 {
+                // A 64 MiB copy out of the window surface with no sync:
+                // frames rendering to textures overtake it.
+                f.target = RenderTarget::Framebuffer {
+                    surface: rng.u32_in(0, 2),
+                };
+                f.copy_out = Some(CopyOut {
+                    dest: ResourceId::from_raw(70),
+                    bytes: 64 << 20,
+                    alloc: AllocKind::Fresh,
+                });
+                f.sync = SyncOp::None;
+            }
+            let t = sim.submit(&f);
+            let report = sim.report();
+            let latest = report
+                .frames
+                .iter()
+                .map(|f| f.retire.max(f.next_cpu_free))
+                .max();
+            assert_eq!(Some(sim.total_time()), latest);
+            assert_eq!(report.total_time, sim.total_time());
+            if sim.total_time() > t.retire.max(t.next_cpu_free) {
+                outlived += 1;
+            }
+        }
+    });
+    assert!(outlived > 0, "no frame was outlived by an earlier copy");
+}

@@ -2,9 +2,11 @@
 //! (encoding → kernel compiler → GL driver → rasteriser → decode), and
 //! consistency between the functional and timing engines.
 
-use mgpu::gpgpu::{Sgemm, Sum};
+use mgpu::gpgpu::{
+    DotProduct, JacobiSolver, Pipeline, Reduction, Saxpy, Sgemm, Source, Sum, Transpose,
+};
 use mgpu::workloads::{max_abs_error, random_matrix, sgemm_blocked_ref};
-use mgpu::{Gl, OptConfig, Platform};
+use mgpu::{Gl, OptConfig, Platform, Range};
 
 /// Functional results must be identical across platforms: the timing model
 /// differs wildly, the pixels must not.
@@ -77,31 +79,130 @@ fn simulation_is_deterministic() {
     assert_eq!(run(), run());
 }
 
-/// The timing engine never depends on functional execution: pixel work on
-/// or off, the schedule is identical (this is what licenses the harness's
-/// timing-only mode at full size).
+/// Timing-only mode (`set_functional(false)`) is how every paper figure
+/// is regenerated, so it must leave the simulation untouched: for every
+/// operator, in each of its upload modes, with a readback and decode
+/// between runs, the full `SimReport` (frames with their labels, traffic,
+/// unit busy time, total time) equals a functional run's, on both
+/// platforms.
 #[test]
 fn functional_mode_does_not_change_timing() {
-    let run = |functional: bool| {
-        let n = 32u32;
-        let a = random_matrix(n as usize, 3, 0.0, 1.0);
-        let b = random_matrix(n as usize, 4, 0.0, 1.0);
-        let mut gl = Gl::new(Platform::videocore_iv(), n, n);
-        gl.set_functional(functional);
-        let mut sgemm = Sgemm::new(
-            &mut gl,
-            &OptConfig::baseline().with_framebuffer_rendering(),
-            n,
-            8,
-            a.data(),
-            b.data(),
-        )
-        .expect("builds");
-        sgemm.multiply(&mut gl).expect("multiply");
-        gl.finish();
-        gl.elapsed()
+    let n = 16u32;
+    let a = random_matrix(n as usize, 3, 0.0, 1.0);
+    let b = random_matrix(n as usize, 4, 0.0, 1.0);
+    let (a, b) = (a.data(), b.data());
+    let check = |what: &str, body: &dyn Fn(&mut Gl)| {
+        for platform in Platform::paper_pair() {
+            let run = |functional: bool| {
+                let mut gl = Gl::new(platform.clone(), n, n);
+                gl.set_functional(functional);
+                body(&mut gl);
+                gl.finish();
+                gl.report()
+            };
+            let (on, off) = (run(true), run(false));
+            assert!(!on.frames.is_empty(), "{what}: no frames");
+            assert_eq!(on, off, "{what} on {}", platform.name);
+        }
     };
-    assert_eq!(run(true), run(false));
+
+    for (dependent, reupload) in [(false, false), (true, false), (false, true)] {
+        for cfg in [
+            OptConfig::baseline().without_swap(),
+            OptConfig::baseline().without_swap().with_texture_reuse(),
+        ] {
+            check(
+                &format!("sum dependent={dependent} reupload={reupload} {cfg:?}"),
+                &|gl| {
+                    let mut sum = Sum::builder(n)
+                        .dependent(dependent)
+                        .reupload(reupload)
+                        .build(gl, &cfg, a, b)
+                        .expect("builds");
+                    sum.run(gl, 2).expect("runs");
+                    sum.result(gl).expect("result");
+                    sum.step(gl).expect("step");
+                },
+            );
+        }
+    }
+    for cfg in [
+        OptConfig::baseline().with_texture_rendering(),
+        OptConfig::baseline().with_framebuffer_rendering(),
+    ] {
+        check(&format!("sgemm {cfg:?}"), &|gl| {
+            let mut sgemm = Sgemm::new(gl, &cfg, n, 8, a, b).expect("builds");
+            sgemm.multiply(gl).expect("multiply");
+            sgemm.result(gl).expect("result");
+            sgemm.multiply(gl).expect("multiply");
+        });
+    }
+    let cfg = OptConfig::baseline().without_swap();
+    check("saxpy", &|gl| {
+        let mut saxpy = Saxpy::new(gl, &cfg, n, 0.5, a, b, Range::unit(), Range::new(0.0, 2.0))
+            .expect("builds");
+        saxpy.step(gl).expect("step");
+        saxpy.result(gl).expect("result");
+        saxpy.step(gl).expect("step");
+    });
+    check("jacobi", &|gl| {
+        let mut jacobi = JacobiSolver::builder(n)
+            .build(gl, &cfg, a, b)
+            .expect("builds");
+        jacobi.iterate(gl, 2).expect("iterates");
+        jacobi.solution(gl).expect("solution");
+        jacobi.step(gl).expect("step");
+    });
+    check("reduce", &|gl| {
+        let mut reduce = Reduction::new(gl, &cfg, n, a).expect("builds");
+        reduce.run(gl).expect("runs");
+        reduce.run(gl).expect("runs");
+    });
+    check("transpose", &|gl| {
+        let mut transpose = Transpose::new(gl, &cfg, n, a).expect("builds");
+        transpose.apply(gl).expect("applies");
+        transpose.result(gl, &Range::unit()).expect("result");
+        transpose.apply(gl).expect("applies");
+    });
+    check("dot", &|gl| {
+        let mut dot = DotProduct::new(gl, &cfg, n, a, b).expect("builds");
+        dot.run(gl).expect("runs");
+        dot.run(gl).expect("runs");
+    });
+    check("pipeline", &|gl| {
+        let enc = cfg.encoding;
+        let add = format!(
+            "uniform sampler2D u_x;\nuniform sampler2D u_y;\nvarying vec2 v_coord;\n{}{}\
+             void main() {{\n  gl_FragColor = pack(0.5 * (unpack(texture2D(u_x, v_coord)) \
+             + unpack(texture2D(u_y, v_coord))));\n}}\n",
+            enc.decode_fn_source(),
+            enc.encode_fn_source()
+        );
+        let mut pipeline = Pipeline::builder(n)
+            .input("b", b, Range::unit())
+            .seed(a, Range::unit())
+            .pass(
+                &add,
+                &[
+                    ("u_x", Source::Previous),
+                    ("u_y", Source::Input("b".into())),
+                ],
+                &[],
+            )
+            .pass(
+                &add,
+                &[
+                    ("u_x", Source::Previous),
+                    ("u_y", Source::Input("b".into())),
+                ],
+                &[],
+            )
+            .build(gl, &cfg)
+            .expect("builds");
+        pipeline.run_once(gl).expect("runs");
+        pipeline.output(gl, &Range::unit()).expect("output");
+        pipeline.run_once(gl).expect("runs");
+    });
 }
 
 /// Traffic accounting matches first principles for a known pipeline.
